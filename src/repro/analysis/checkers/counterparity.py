@@ -44,6 +44,9 @@ SCALAR_ONLY_EXCLUSIONS: Dict[str, str] = {
     # precheck bails on any mode stack, so os-time never accrues
     # inside a kernel.
     "cycles.os.total": "os-mode",
+    # A walk aborts only on an unmapped translation; the kernel reads
+    # the walk record first and breaks to scalar before charging it.
+    "walk.aborted": "fault_handler",
 }
 
 

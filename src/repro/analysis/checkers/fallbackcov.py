@@ -14,9 +14,9 @@ call graph finds reachable from `Machine.access`:
    kernel has never heard of);
 2. the batch module must carry a guard for the category — the
    attribute(s) the eligibility/probe code inspects (`_fast_ok`,
-   `_mode_stack`, `persist_hook`, `_pure_walker`/`_walker_peek`,
-   timer-deadline peeks) must actually appear in its condition
-   expressions;
+   `_mode_stack`, `persist_hook`, `walker`, the walk record's
+   `writable`, timer-deadline peeks) must actually appear in its
+   condition expressions;
 3. the category must be documented as a row of the scalar-fallback
    taxonomy table in EXPERIMENTS.md, so the docs and the code cannot
    drift apart silently.
@@ -57,8 +57,8 @@ class Category:
 CATEGORIES: Dict[str, Category] = {
     "extensions": Category(("_fast_ok",), r"hardware extension"),
     "persist_hook": Category(("persist_hook",), r"persist hook"),
-    "walker": Category(("_pure_walker", "_walker_peek"), r"pure walker"),
-    "fault_handler": Category(("_pure_walker", "_walker_peek"), r"page fault"),
+    "walker": Category(("walker",), r"walk record"),
+    "fault_handler": Category(("writable",), r"page fault"),
     "timer_callback": Category(("timers", "fire_due"), r"timer deadline"),
     "os-mode": Category(("_mode_stack",), r"os-mode transition"),
 }

@@ -53,8 +53,6 @@ from repro.exec.fingerprint import module_source
 #: the batch kernel must either reproduce or guard against.
 BOUNDARY_ATTRS: Dict[str, str] = {
     "walker": "walker",
-    "_walker_peek": "walker",
-    "walker_peek": "walker",
     "fault_handler": "fault_handler",
     "persist_hook": "persist_hook",
     "callback": "timer_callback",

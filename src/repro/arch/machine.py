@@ -25,7 +25,7 @@ timers, and DRAM frame contents.  NVM frame contents survive.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.arch.cache import Cache
 from repro.arch.hooks import HardwareExtension
@@ -40,10 +40,15 @@ from repro.mem.controller import HybridMemoryController
 from repro.mem.hybrid import HybridLayout, MemType
 from repro.mem.physmem import PhysicalMemory
 
-#: ``walker(machine, vpn) -> (pfn, writable) | None`` — the hardware
-#: page-table walk for the current address space.  Implementations must
-#: charge their own physical accesses via :meth:`Machine.phys_line_access`.
-Walker = Callable[["Machine", int], Optional[Tuple[int, bool]]]
+#: ``walker(vpn) -> (pte_paddrs, pfn, writable)`` — the hardware
+#: page-table walk for the current address space, as a pure *walk
+#: record*: the physical addresses of the page-table entries the walk
+#: reads, in order (ending at the aborting entry on a fault), then the
+#: translation (``pfn`` is ``None`` when the walk faults).  A walker
+#: charges nothing and has no side effects; the machine charges the
+#: entry reads itself.  Premapped spaces return ``((), pfn, writable)``.
+WalkRecord = Tuple[Sequence[int], Optional[int], bool]
+Walker = Callable[[int], WalkRecord]
 
 #: ``fault_handler(vaddr, is_write)`` — OS demand-paging entry point.
 FaultHandler = Callable[[int, bool], None]
@@ -110,16 +115,6 @@ class Machine:
         self.asid = 0
         self.walker: Optional[Walker] = None
         self.fault_handler: Optional[FaultHandler] = None
-        #: Declared by install_context: the walker is a pure lookup —
-        #: side-effect-free and charging no cycles — so the batch
-        #: engine's miss-run kernel may invoke it inline on TLB misses.
-        #: gemOS walkers simulate charged page-table memory accesses and
-        #: therefore stay False (TLB misses fall back to scalar there).
-        self._pure_walker = False
-        #: Optional pure companion to an impure walker (see
-        #: install_context); lets the miss-run kernel check a
-        #: translation for free before committing to the charged walk.
-        self._walker_peek: Optional[Callable[[int], Optional[Tuple[int, bool]]]] = None
         #: (category, charge, counter key) stack; empty means user mode.
         self._mode_stack: List[Tuple[str, bool, str]] = []
         self._lines_per_row = self.config.dram.row_size // CACHE_LINE
@@ -503,44 +498,37 @@ class Machine:
         asid: int,
         walker: Walker,
         fault_handler: Optional[FaultHandler],
-        pure_walker: bool = False,
-        walker_peek: Optional[Callable[[int], Optional[Tuple[int, bool]]]] = None,
     ) -> None:
         """Point the hardware at a new address space (context switch).
 
-        ``pure_walker=True`` declares that ``walker`` is a *pure
-        translation lookup*: it has no side effects, charges no cycles
-        and performs no simulated physical accesses (e.g. a premapped
-        ``dict.get``).  Only then may the batch-replay miss-run kernel
-        walk inline on TLB misses; walkers that simulate page-table
-        memory traffic (gemOS) must leave this False so TLB misses take
-        the scalar path that charges their walk costs.
-
-        ``walker_peek`` is the impure-walker counterpart: a *pure*
-        function of ``vpn`` that returns exactly what ``walker`` would
-        return, without any of its side effects (gemOS:
-        ``PageTable.peek`` next to ``PageTable.hw_walk``).  With a peek
-        installed, the miss-run kernel checks the translation for free
-        and — only when it is clean — executes the real charged walk
-        inline mid-run, so TLB misses no longer break batched runs;
-        faults and protection upgrades still fall back to scalar before
-        any walk side effect happens.  The contract is strict: if peek
-        and walker ever disagree, replay diverges from scalar.
+        ``walker`` returns a walk record (see :data:`Walker`); every
+        caller — the scalar path here, the batch engine's probe and its
+        miss-run kernel — reads the record and charges its page-table
+        entry reads through the cache hierarchy itself, so the walker
+        may be called any number of times without changing results.
         """
         self.asid = asid
         self._asid_base = asid << 40
         self.walker = walker
         self.fault_handler = fault_handler
-        self._pure_walker = bool(pure_walker)
-        self._walker_peek = None if pure_walker else walker_peek
+
+    def _walk(self, vpn: int) -> WalkRecord:
+        """Walk ``vpn`` and charge the record's entry reads."""
+        record = self.walker(vpn)
+        pte_paddrs, pfn, _writable = record
+        if pte_paddrs:
+            for paddr in pte_paddrs:
+                self.phys_line_access(paddr, is_write=False)
+            self._counters["walk.aborted" if pfn is None else "walk.completed"] += 1
+        return record
 
     def _walk_and_fill(self, vaddr: int, is_write: bool) -> TlbEntry:
         if self.walker is None:
             raise FaultError("no address space installed")
         vpn = vaddr // PAGE_SIZE
-        translation = self.walker(self, vpn)
+        _, pfn, writable = self._walk(vpn)
         attempts = 0
-        while translation is None or (is_write and not translation[1]):
+        while pfn is None or (is_write and not writable):
             if self.fault_handler is None:
                 raise FaultError(
                     f"unhandled page fault at {vaddr:#x} "
@@ -550,8 +538,7 @@ class Machine:
             if attempts > 2:
                 raise FaultError(f"fault handler did not resolve {vaddr:#x}")
             self.fault_handler(vaddr, is_write)
-            translation = self.walker(self, vpn)
-        pfn, writable = translation
+            _, pfn, writable = self._walk(vpn)
         for ext in self.extensions:
             pfn = ext.remap_pfn(self, vpn, pfn)
         entry = TlbEntry(vpn=vpn, pfn=pfn, writable=writable, asid=self.asid)
@@ -798,8 +785,6 @@ class Machine:
             ext.on_power_cycle(self)
         self.walker = None
         self.fault_handler = None
-        self._pure_walker = False
-        self._walker_peek = None
         self.asid = 0
         self._asid_base = 0
         self.powered = False

@@ -285,10 +285,7 @@ class Kernel:
         process.state = ProcessState.RUNNING
         assert process.page_table is not None
         self.machine.install_context(
-            process.asid,
-            process.page_table.hw_walk,
-            self.handle_page_fault,
-            walker_peek=process.page_table.peek,
+            process.asid, process.page_table.hw_walk, self.handle_page_fault
         )
 
     def exit_process(self, process: Process) -> None:

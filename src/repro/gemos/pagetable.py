@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.arch.machine import Machine
+from repro.arch.machine import WalkRecord
 from repro.common.errors import FaultError
 from repro.gemos.frames import FrameAllocator
 
@@ -56,8 +56,13 @@ class _Node:
         return (self.frame << PAGE_SHIFT) + index * PTE_SIZE
 
 
+#: Index shift per level, root first (the hardware walk order).
+_WALK_SHIFTS = tuple(BITS_PER_LEVEL * level for level in range(LEVELS - 1, -1, -1))
+_INDEX_MASK = ENTRIES_PER_TABLE - 1
+
+
 def _index_at(vpn: int, level: int) -> int:
-    return (vpn >> (BITS_PER_LEVEL * level)) & (ENTRIES_PER_TABLE - 1)
+    return (vpn >> (BITS_PER_LEVEL * level)) & _INDEX_MASK
 
 
 class PageTable:
@@ -234,48 +239,33 @@ class PageTable:
     # hardware walk
     # ------------------------------------------------------------------
 
-    def peek(self, vpn: int) -> Optional[Tuple[int, bool]]:
-        """Pure translation lookup: exactly :meth:`hw_walk`'s result
-        with none of its simulated page-table traffic or stats.
+    def hw_walk(self, vpn: int) -> WalkRecord:
+        """The page-table walker, as data: ``(pte_paddrs, pfn, writable)``.
 
-        This is the ``walker_peek`` contract of
-        :meth:`repro.arch.machine.Machine.install_context`: the batch
-        miss-run kernel peeks first (free), and only when the
-        translation is clean does it run the real charged ``hw_walk``
-        inline — a fault never executes a half-op.  The walk itself
-        never mutates the table, so peek-then-walk always agrees.
+        ``pte_paddrs`` lists the physical address of every entry the
+        hardware reads, root first, ending at the aborting entry when
+        the walk faults (``pfn`` is then ``None``).  The walk is pure —
+        no cycles, no stats, no mutation — so callers may run it as
+        often as they like; the machine charges the entry reads through
+        the cache hierarchy itself (:meth:`Machine.install_context`).
         """
-        node = self.root
-        for level in range(LEVELS - 1, 0, -1):
-            child = node.entries.get(_index_at(vpn, level))
-            if not isinstance(child, _Node):
-                return None
-            node = child
-        pte = node.entries.get(_index_at(vpn, 0))
-        if not isinstance(pte, Pte):
-            return None
-        return pte.pfn, pte.writable
+        # _index_at and _Node.entry_paddr inlined: this runs once per
+        # TLB miss.
+        pte_paddrs: List[int] = []
+        entry = self.root
+        for shift in _WALK_SHIFTS:
+            index = (vpn >> shift) & _INDEX_MASK
+            pte_paddrs.append((entry.frame << PAGE_SHIFT) + index * PTE_SIZE)
+            entry = entry.entries.get(index)
+            if entry is None:
+                return pte_paddrs, None, False
+        return pte_paddrs, entry.pfn, entry.writable
 
-    def hw_walk(self, machine: Machine, vpn: int) -> Optional[Tuple[int, bool]]:
-        """The page-table walker: four dependent entry reads through the
-        cache hierarchy.  Returns ``(pfn, writable)`` or ``None``."""
-        node = self.root
-        for level in range(LEVELS - 1, 0, -1):
-            index = _index_at(vpn, level)
-            machine.phys_line_access(node.entry_paddr(index), is_write=False)
-            child = node.entries.get(index)
-            if not isinstance(child, _Node):
-                machine.stats.add("walk.aborted")
-                return None
-            node = child
-        index = _index_at(vpn, 0)
-        machine.phys_line_access(node.entry_paddr(index), is_write=False)
-        pte = node.entries.get(index)
-        if not isinstance(pte, Pte):
-            machine.stats.add("walk.aborted")
-            return None
-        machine.stats.add("walk.completed")
-        return pte.pfn, pte.writable
+    def peek(self, vpn: int) -> Optional[Tuple[int, bool]]:
+        """The translation :meth:`hw_walk` finds: ``(pfn, writable)`` or
+        ``None``."""
+        _, pfn, writable = self.hw_walk(vpn)
+        return None if pfn is None else (pfn, writable)
 
 
 class PageTableError(FaultError):

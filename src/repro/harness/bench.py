@@ -35,7 +35,7 @@ Output schema (``BENCH_machine.json``)
 --------------------------------------
 
 ``schema``
-    ``"bench_machine/v5"`` (v2 added ``host`` and ``sweep``; v3 added
+    ``"bench_machine/v6"`` (v2 added ``host`` and ``sweep``; v3 added
     the optional ``batch`` section; v4 added the ``traffic`` scenario
     and the ``traffic`` section written by ``python -m repro.harness
     traffic`` — population config, interference attribution, op split,
@@ -43,7 +43,8 @@ Output schema (``BENCH_machine.json``)
     batch engine gained the vectorized miss-run kernel, so ``batch``
     rates on miss-heavy scenarios measure the inlined LLC/row-buffer/
     controller path and the batched op fraction covers TLB-thrashing
-    traces premapped with a pure walker).
+    premapped traces; v6 added the ``plan`` section written by
+    ``python -m repro.harness plan``).
 ``unit``
     always ``"simulated memory operations per wall-clock second"``.
 ``host``
@@ -70,7 +71,9 @@ Output schema (``BENCH_machine.json``)
     the sweep-engine measurement (:func:`measure_sweep`): wall-clock of
     a representative experiment sweep run serially, in parallel at
     ``workers`` jobs, and again warm from the result cache, plus the
-    derived speedup / warm-over-cold ratio / cache-hit rate.
+    derived speedup / warm-over-cold ratio / cache-hit rate.  With
+    fewer than two workers or CPUs there is no parallelism to measure:
+    ``speedup`` is then ``null`` and ``speedup_reason`` says why.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.arch.hooks import HardwareExtension
-from repro.arch.machine import Machine
+from repro.arch.machine import Machine, WalkRecord
 from repro.common.config import MachineConfig, small_machine_config
 from repro.common.rng import derive_rng
 from repro.common.units import CACHE_LINE, PAGE_SIZE
@@ -148,13 +151,11 @@ def _premapped_machine(
         vpn: (base_pfn + vpn, True) for vpn in range(npages)
     }
 
-    def walker(_machine: Machine, vpn: int) -> Optional[Tuple[int, bool]]:
-        return mapping.get(vpn)
+    def walker(vpn: int) -> WalkRecord:
+        # Premapped: no page-table entries to read.
+        return (), *mapping.get(vpn, (None, False))
 
-    # The premapped walker is a dict lookup: side-effect-free, zero
-    # cycles — declare it pure so the batch miss-run kernel may walk
-    # inline on the TLB-thrashing scenarios.
-    machine.install_context(1, walker, None, pure_walker=True)
+    machine.install_context(1, walker, None)
     return machine, mapping
 
 
@@ -243,8 +244,8 @@ def _build_fault_heavy(ops: int):
     npages = machine.layout.config.dram_bytes // PAGE_SIZE
     mapping: Dict[int, Tuple[int, bool]] = {}
 
-    def walker(_machine: Machine, vpn: int) -> Optional[Tuple[int, bool]]:
-        return mapping.get(vpn)
+    def walker(vpn: int) -> WalkRecord:
+        return (), *mapping.get(vpn, (None, False))
 
     def fault_handler(vaddr: int, _is_write: bool) -> None:
         vpn = vaddr // PAGE_SIZE
@@ -485,7 +486,9 @@ def measure_sweep(jobs: Optional[int] = None, smoke: bool = False) -> Dict:
     Three runs of the same Fig. 4a grid: the plain serial loop (no
     engine), a cold parallel run against a fresh cache, and a re-run
     against that now-warm cache.  Scratch cache directories live under
-    a temp dir so measurement never touches ``artifacts/cache``.
+    a temp dir so measurement never touches ``artifacts/cache``.  The
+    parallel speedup is recorded as not measured (``None`` plus a
+    reason) when fewer than two workers or CPUs are available.
     """
     from repro.harness.experiments import run_fig4a
 
@@ -505,15 +508,24 @@ def measure_sweep(jobs: Optional[int] = None, smoke: bool = False) -> Dict:
         start = time.perf_counter()  # repro: allow-nondet(bench measures wall-clock by design)
         warm = run_fig4a(sizes_mb=sizes, scale=scale, engine=warm_engine)
         warm_s = time.perf_counter() - start  # repro: allow-nondet(bench measures wall-clock by design)
+    cpus = os.cpu_count() or 1
+    workers = cold_engine.jobs
+    if min(workers, cpus) < 2:
+        speedup = None
+        reason = f"not measured: {workers} worker(s) on {cpus} CPU(s)"
+    else:
+        speedup = round(serial_s / parallel_s, 2) if parallel_s else 0.0
+        reason = None
     return {
         "experiment": "fig4a",
         "sizes_mb": list(sizes),
         "scale": scale,
         "cells": warm_engine.cells,
-        "workers": cold_engine.jobs,
+        "workers": workers,
         "serial_s": round(serial_s, 4),
         "parallel_s": round(parallel_s, 4),
-        "speedup": round(serial_s / parallel_s, 2) if parallel_s else 0.0,
+        "speedup": speedup,
+        "speedup_reason": reason,
         "warm_s": round(warm_s, 4),
         "warm_over_cold": round(warm_s / parallel_s, 4) if parallel_s else 0.0,
         "warm_cache_hit_rate": (
@@ -523,6 +535,25 @@ def measure_sweep(jobs: Optional[int] = None, smoke: bool = False) -> Dict:
         ),
         "identical_output": serial == parallel == warm,
     }
+
+
+def print_sweep(sweep_report: Dict) -> None:
+    """Text summary of a :func:`measure_sweep` report."""
+    speedup = sweep_report["speedup"]
+    parallel_note = (
+        sweep_report["speedup_reason"] if speedup is None else f"{speedup:.2f}x"
+    )
+    print(
+        f"== sweep engine ({sweep_report['experiment']}, "
+        f"{sweep_report['cells']} cells, {sweep_report['workers']} workers) =="
+    )
+    print(
+        f"  serial {sweep_report['serial_s']:.2f}s  "
+        f"parallel {sweep_report['parallel_s']:.2f}s ({parallel_note})  "
+        f"warm-cache {sweep_report['warm_s']:.2f}s "
+        f"({100 * sweep_report['warm_over_cold']:.1f}% of cold, "
+        f"{100 * sweep_report['warm_cache_hit_rate']:.0f}% hits)"
+    )
 
 
 def bench_main(
@@ -563,18 +594,7 @@ def bench_main(
             )
     sweep_report = measure_sweep(jobs=jobs, smoke=smoke)
     report["sweep"] = sweep_report
-    print(
-        f"== sweep engine ({sweep_report['experiment']}, "
-        f"{sweep_report['cells']} cells, {sweep_report['workers']} workers) =="
-    )
-    print(
-        f"  serial {sweep_report['serial_s']:.2f}s  "
-        f"parallel {sweep_report['parallel_s']:.2f}s "
-        f"({sweep_report['speedup']:.2f}x)  "
-        f"warm-cache {sweep_report['warm_s']:.2f}s "
-        f"({100 * sweep_report['warm_over_cold']:.1f}% of cold, "
-        f"{100 * sweep_report['warm_cache_hit_rate']:.0f}% hits)"
-    )
+    print_sweep(sweep_report)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:

@@ -18,6 +18,8 @@ from repro.common.errors import FaultError
 from repro.common.units import PAGE_SIZE
 from repro.mem.hybrid import HybridLayout, MemType
 
+_ZERO_PAGE = bytes(PAGE_SIZE)
+
 
 class PhysicalMemory:
     """Byte-addressable backing store over a :class:`HybridLayout`."""
@@ -86,8 +88,8 @@ class PhysicalMemory:
         """Clear one frame (fresh allocation)."""
         frame = self._frames.get(pfn)
         if frame is not None:
-            for i in range(PAGE_SIZE):
-                frame[i] = 0
+            # In place: callers may hold the frame object.
+            frame[:] = _ZERO_PAGE
         else:
             self._frame(pfn)
 

@@ -51,24 +51,17 @@ that is only *observable at run end* to a single commit:
 * the TLB micro-cache and each channel's ``last_row_hit`` are restored
   at commit to what the scalar sequence would have left behind.
 
-Inline page walks come in two flavors.  A walker declared pure
-(``install_context(..., pure_walker=True)``) is side-effect-free and
-charges no cycles, so the kernel simply calls it.  An *impure* walker
-(gemOS: four charged page-table reads through the cache hierarchy) can
-still run inline when the context also installed a ``walker_peek`` — a
-pure preview returning exactly what the walker would.  The kernel peeks
-first, free of charge; a faulting or write-protected translation breaks
-to scalar *before* any side effect, so the scalar retry never sees a
-half-executed op.  On a clean peek the kernel synchronizes
-``machine.clock`` and the write-buffer drain horizon to the exact
-scalar call point, runs the real walker (whose cache fills, wear and
-``advance()`` charges all act on live structures and therefore commute
-with the deferred sums), absorbs the walked cycles into the run, and
-subtracts them from the deferred ``cycles.user`` add since
-``advance()`` already charged them.  Walks invalidate the kernel's
-row-hit trackers (the walk may have switched open rows), making the
-live channel state authoritative again.  TLB misses under an impure
-walker *without* a peek fall back to scalar.
+TLB misses walk inline.  The installed walker returns a pure *walk
+record* — the page-table entry addresses it reads plus the translation
+(see :data:`repro.arch.machine.Walker`) — so the kernel calls it once
+per miss and decides before charging anything: a faulting or
+write-protected translation breaks to scalar with the op untouched, so
+the scalar retry never sees a half-executed op.  A clean record's entry
+reads then run through the same line interpreter as the data line
+(``_line``, the inline :meth:`Machine.phys_line_access`), with every
+counter, cycle and write-buffer enqueue deferred exactly like data
+traffic, in the scalar order: ``op_base``, the entry reads, the TLB
+fill, the data line.
 
 Timers are the coupling to the clock: the scalar loop fires due timers
 after every op, so both kinds of run are truncated at the op whose
@@ -80,12 +73,11 @@ synchronized structures, all of which are cleared in place — and the
 kernel returns afterwards, forcing a fresh probe before anything else
 commits (mid-run invalidation hazards cannot leak into a stale run).
 
-Everything else — faults, protection upgrades, TLB misses under an
-impure walker with no peek, multi-line and page-crossing ops, os-mode
-execution,
-attached extensions, installed persist hooks — falls back to the scalar
-:meth:`Machine.access` path op by op, which is definitionally
-equivalent.
+Everything else — faults, protection upgrades, multi-line and
+page-crossing ops, os-mode execution, attached extensions, installed
+persist hooks, TLB misses under a replaced eviction hook — falls back
+to the scalar :meth:`Machine.access` path op by op, which is
+definitionally equivalent.
 """
 
 from __future__ import annotations
@@ -132,6 +124,12 @@ _PAGE_MASK = np.uint64(PAGE_SIZE - 1)
 _PAGE_SHIFT = np.uint64(PAGE_SIZE.bit_length() - 1)
 _LINE_SHIFT = np.uint64(CACHE_LINE.bit_length() - 1)
 _LINES_PER_PAGE = np.uint64(LINES_PER_PAGE)
+
+
+class _Unbacked(Exception):
+    """A line outside physical memory: the kernel stops the run and the
+    scalar path raises on the op."""
+
 
 #: A scalar trace operation, as built by the bench scenarios.
 Op = Tuple[int, int, bool]
@@ -255,8 +253,8 @@ class BatchReplayer:
                     self._span = _MIN_SCALAR_SPAN
                     continue
                 # The kernel broke on a hazard (fault, protection
-                # upgrade, multi-line op, impure-walker TLB miss): the
-                # op at the break point needs the scalar path.
+                # upgrade, multi-line op): the op at the break point
+                # needs the scalar path.
                 stop = min(count, base + self._span)
                 self._scalar_span(addr, size, is_write, base, stop)
                 base = stop
@@ -344,24 +342,18 @@ class BatchReplayer:
         key = vaddr // PAGE_SIZE | machine._asid_base  # noqa: SLF001
         entry = machine.tlb._entries.get(key)  # noqa: SLF001 - hot path
         if entry is None:
-            # TLB miss: only the kernel can proceed, and only by
-            # walking inline — which requires either a declared-pure
-            # walker or an impure walker with a pure peek, plus the
-            # stock eviction hook and no persist hook (crash injection
-            # must see every scalar persist event).
+            # TLB miss: only the kernel can proceed, by walking inline —
+            # which needs a clean translation, the stock eviction hook
+            # and no persist hook (crash injection must see every
+            # scalar persist event).
             if (
                 machine.persist_hook is not None
                 or machine.walker is None
                 or machine.tlb.on_evict != machine._tlb_evict_hook  # noqa: SLF001
             ):
                 return _PROBE_SCALAR
-            if machine._pure_walker:  # noqa: SLF001
-                translation = machine.walker(machine, vaddr // PAGE_SIZE)
-            elif machine._walker_peek is not None:  # noqa: SLF001
-                translation = machine._walker_peek(vaddr // PAGE_SIZE)  # noqa: SLF001
-            else:
-                return _PROBE_SCALAR
-            if translation is None or (is_write and not translation[1]):
+            _, pfn, writable = machine.walker(vaddr // PAGE_SIZE)
+            if pfn is None or (is_write and not writable):
                 return _PROBE_SCALAR
             return _PROBE_KERNEL
         if is_write and not entry.writable:
@@ -401,9 +393,9 @@ class BatchReplayer:
             view["l1_sets"], view["l1_nsets"], view["l1_assoc"],
             view["l2_sets"], view["l2_nsets"], view["l2_assoc"],
             view["llc_sets"], view["llc_nsets"], view["llc_assoc"],
-            op_base + view["l1_hit_latency"],
-            op_base + view["l2_hit_latency"],
-            op_base + view["llc_hit_latency"],
+            view["l1_hit_latency"],
+            view["l2_hit_latency"],
+            view["llc_hit_latency"],
             view["controller"], view["dram_channel"], view["nvm_channel"],
             dram_rows, dram_row_size, dram_banks,
             dram_read_hit, dram_read_miss, dram_write_hit, dram_write_miss,
@@ -439,7 +431,7 @@ class BatchReplayer:
             l1_sets, l1_nsets, l1_assoc,
             l2_sets, l2_nsets, l2_assoc,
             llc_sets, llc_nsets, llc_assoc,
-            op_l1_cycles, op_l2_cycles, op_llc_cycles,
+            l1_latency, l2_latency, llc_latency,
             controller, dram_channel, nvm_channel,
             dram_rows, dram_row_size, dram_banks,
             dram_read_hit, dram_read_miss, dram_write_hit, dram_write_miss,
@@ -453,13 +445,13 @@ class BatchReplayer:
         asid = machine.asid
         asid_base = machine._asid_base  # noqa: SLF001 - hot path
         imon = machine._imon  # noqa: SLF001 - hot path
-        walker = machine.walker if machine._pure_walker else None  # noqa: SLF001
-        # Impure walker with a pure peek: the kernel peeks for free and
-        # runs the real charged walk inline on clean translations.
-        peek = None if walker is not None else machine._walker_peek  # noqa: SLF001
-        raw_walker = machine.walker
-        if tlb.on_evict != machine._tlb_evict_hook:  # noqa: SLF001
-            walker = peek = None
+        # A replaced eviction hook needs the scalar TLB insert path, so
+        # TLB misses break to scalar then.
+        walker = (
+            machine.walker
+            if tlb.on_evict == machine._tlb_evict_hook  # noqa: SLF001
+            else None
+        )
         # Without a monitor watching evictions, staged TLB entries can
         # be deferred tuples — only survivors get materialized.  With a
         # monitor, victims must be real entries at note_tlb_evict time.
@@ -469,10 +461,6 @@ class BatchReplayer:
         deadline = heap[0][0] - clock_base if heap else None
 
         cycles = 0
-        #: Cycles the machine charged itself during inline impure walks
-        #: (advance() already added them to clock and cycles.user);
-        #: subtracted from the commit's bulk cycles.user add.
-        external = 0
         consumed = 0
         last_key = 0
         #: Staged TLB activity: every op's key ends up here (moved real
@@ -480,7 +468,7 @@ class BatchReplayer:
         #: combined LRU order is ``entries`` then ``pending``, matching
         #: the scalar dict exactly; evictions pop the combined head.
         pending: dict = {}
-        n_tlb_hit = n_tlb_miss = n_tlb_evict = 0
+        n_tlb_hit = n_tlb_miss = n_tlb_evict = n_walks = 0
         n_l1_hit = n_l1_miss = n_l1_evict = 0
         n_l2_hit = n_l2_miss = n_l2_evict = 0
         n_llc_hit = n_llc_miss = n_llc_evict = 0
@@ -553,224 +541,215 @@ class BatchReplayer:
                 cycles += latency
             n_writebacks += 1
 
-        for vaddr, w, ok in zip(addrs, writes, singles):
-            if not ok:
-                break  # multi-line / page-crossing / zero-size op
-            vpn = vaddr // PAGE_SIZE
-            key = asid_base | vpn
-            entry = entries.get(key)
-            if entry is not None:
-                if w and not entry.writable:
-                    break  # protection upgrade: scalar fault path
-                pfn = entry.pfn
-                n_tlb_hit += 1
-                # LRU refresh: a touched real entry moves behind the
-                # staged ones (the combined MRU end).
-                del entries[key]
-                pending[key] = entry
-            else:
-                staged = pending.get(key)
-                if staged is not None:
-                    if type(staged) is tuple:
-                        pfn = staged[0]
-                        if w and not staged[1]:
-                            break
-                    else:
-                        pfn = staged.pfn
-                        if w and not staged.writable:
-                            break
-                    n_tlb_hit += 1
-                    pending[key] = pending.pop(key)
-                else:
-                    if walker is not None:
-                        translation = walker(machine, vpn)
-                        if translation is None:
-                            break  # demand fault: scalar path
-                    elif peek is not None:
-                        translation = peek(vpn)
-                        if translation is None or (
-                            w and not translation[1]
-                        ):
-                            # Fault / protection upgrade: bail BEFORE
-                            # the charged walk — the scalar path then
-                            # executes the op (and its walk) whole.
-                            break
-                        # Clean translation: run the real charged walk
-                        # at the exact scalar clock point (op_base is
-                        # charged before the walk; the hit-stage add
-                        # below re-adds it, so it cancels here).  The
-                        # walk's own advance()/enqueue calls need the
-                        # live clock and drain horizon, and its cycles
-                        # land in cycles.user immediately — tracked in
-                        # ``external`` so the commit does not double-
-                        # charge them.
-                        walk_at = cycles + op_base
-                        machine.clock = clock_base + walk_at
-                        write_buffer._last_drain_end = last_drain_end  # noqa: SLF001
-                        translation = raw_walker(machine, vpn)
-                        walked = machine.clock - clock_base - walk_at
-                        external += walked
-                        cycles += walked
-                        last_drain_end = write_buffer._last_drain_end  # noqa: SLF001
-                        # The walk may have touched the channels; their
-                        # live last_row_hit is now authoritative, so
-                        # the deferred end-of-run restore resets.
-                        dram_last_hit = nvm_last_hit = None
-                    else:
-                        break  # impure-walker TLB miss: scalar path
-                    pfn = translation[0]
-                    writable = translation[1]
-                    if w and not writable:
-                        break
-                    n_tlb_miss += 1
-                    if len(entries) + len(pending) >= tlb_capacity:
-                        if entries:
-                            victim = entries.pop(next(iter(entries)))
-                        else:
-                            victim = pending.pop(next(iter(pending)))
-                        n_tlb_evict += 1
-                        if imon is not None:
-                            imon.note_tlb_evict(victim)
-                    if defer_entries:
-                        pending[key] = (pfn, writable, vpn)
-                    else:
-                        pending[key] = TlbEntry(
-                            vpn, pfn, writable, asid=asid
-                        )
-            line = pfn * LINES_PER_PAGE + vaddr % PAGE_SIZE // CACHE_LINE
+        def _line(line: int, w: bool) -> None:
+            """One line through the hierarchy — inline
+            Machine.phys_line_access, shared by data and walk reads."""
+            nonlocal cycles, n_l1_hit, n_l1_miss, n_l1_evict
+            nonlocal n_l2_hit, n_l2_miss, n_l2_evict
+            nonlocal n_llc_hit, n_llc_miss, n_llc_evict
+            nonlocal n_dram_reads, n_nvm_reads, dram_last_hit, nvm_last_hit
+            nonlocal dram_r_hit, dram_r_miss, nvm_r_hit, nvm_r_miss
             set1 = l1_sets[line % l1_nsets]
             if line in set1:
                 set1[line] = set1.pop(line) or w
                 n_l1_hit += 1
-                cycles += op_l1_cycles
+                cycles += l1_latency
+                return
+            n_l1_miss += 1
+            set2 = l2_sets[line % l2_nsets]
+            if line in set2:
+                set2[line] = set2.pop(line)
+                n_l2_hit += 1
+                cycles += l2_latency
             else:
-                n_l1_miss += 1
-                set2 = l2_sets[line % l2_nsets]
-                if line in set2:
-                    set2[line] = set2.pop(line)
-                    n_l2_hit += 1
-                    cycles += op_l2_cycles
+                n_l2_miss += 1
+                set3 = llc_sets[line % llc_nsets]
+                if line in set3:
+                    set3[line] = set3.pop(line)
+                    n_llc_hit += 1
+                    cycles += llc_latency
                 else:
-                    n_l2_miss += 1
-                    set3 = llc_sets[line % llc_nsets]
-                    if line in set3:
-                        set3[line] = set3.pop(line)
-                        n_llc_hit += 1
-                        cycles += op_llc_cycles
+                    n_llc_miss += 1
+                    addr = line * CACHE_LINE
+                    if addr >= nvm_base:
+                        if addr >= mem_end:
+                            raise _Unbacked
+                        n_nvm_reads += 1
+                        row = addr // nvm_row_size
+                        bank = row % nvm_banks
+                        hit = nvm_rows.get(bank) == row
+                        nvm_rows[bank] = row
+                        if hit:
+                            nvm_r_hit += 1
+                            latency = nvm_read_hit
+                        else:
+                            nvm_r_miss += 1
+                            latency = nvm_read_miss
+                            page = addr >> page_shift
+                            page_row_misses[page] = (
+                                page_row_misses.get(page, 0) + 1
+                            )
+                        nvm_last_hit = hit
+                        if imon is not None:
+                            nvm_channel.last_row_hit = hit
+                            imon.note_device(addr, True)
                     else:
-                        n_llc_miss += 1
-                        addr = line * CACHE_LINE
-                        if addr >= nvm_base:
-                            if addr >= mem_end:
-                                break  # out of range: scalar raises
-                            n_nvm_reads += 1
-                            row = addr // nvm_row_size
-                            bank = row % nvm_banks
-                            hit = nvm_rows.get(bank) == row
-                            nvm_rows[bank] = row
-                            if hit:
-                                nvm_r_hit += 1
-                                latency = nvm_read_hit
-                            else:
-                                nvm_r_miss += 1
-                                latency = nvm_read_miss
-                                page = addr >> page_shift
-                                page_row_misses[page] = (
-                                    page_row_misses.get(page, 0) + 1
-                                )
-                            nvm_last_hit = hit
-                            if imon is not None:
-                                nvm_channel.last_row_hit = hit
-                                imon.note_device(addr, True)
+                        if addr < dram_base:
+                            raise _Unbacked
+                        n_dram_reads += 1
+                        row = addr // dram_row_size
+                        bank = row % dram_banks
+                        hit = dram_rows.get(bank) == row
+                        dram_rows[bank] = row
+                        if hit:
+                            dram_r_hit += 1
+                            latency = dram_read_hit
                         else:
-                            if addr < dram_base:
-                                break  # out of range: scalar raises
-                            n_dram_reads += 1
-                            row = addr // dram_row_size
-                            bank = row % dram_banks
-                            hit = dram_rows.get(bank) == row
-                            dram_rows[bank] = row
-                            if hit:
-                                dram_r_hit += 1
-                                latency = dram_read_hit
-                            else:
-                                dram_r_miss += 1
-                                latency = dram_read_miss
-                            dram_last_hit = hit
-                            if imon is not None:
-                                dram_channel.last_row_hit = hit
-                                imon.note_device(addr, False)
-                        cycles += op_llc_cycles + latency
-                        # Fill LLC (inline Machine._fill_llc).
-                        if len(set3) >= llc_assoc:
-                            victim_line = next(iter(set3))
-                            victim_dirty = set3.pop(victim_line)
-                            n_llc_evict += 1
-                            set3[line] = False
-                            victim_dirty = (
-                                l1_sets[victim_line % l1_nsets].pop(
-                                    victim_line, False
-                                )
-                                or victim_dirty
-                            )
-                            victim_dirty = (
-                                l2_sets[victim_line % l2_nsets].pop(
-                                    victim_line, False
-                                )
-                                or victim_dirty
-                            )
-                            if victim_dirty:
-                                _writeback(victim_line)
-                            if imon is not None:
-                                imon.note_llc_fill(line, victim_line)
-                        else:
-                            set3[line] = False
-                            if imon is not None:
-                                imon.note_llc_fill(line, None)
-                    # Fill L2 (inline Machine._fill_l2).
-                    if len(set2) >= l2_assoc:
-                        victim_line = next(iter(set2))
-                        victim_dirty = set2.pop(victim_line)
-                        n_l2_evict += 1
-                        set2[line] = False
+                            dram_r_miss += 1
+                            latency = dram_read_miss
+                        dram_last_hit = hit
+                        if imon is not None:
+                            dram_channel.last_row_hit = hit
+                            imon.note_device(addr, False)
+                    cycles += llc_latency + latency
+                    # Fill LLC (inline Machine._fill_llc).
+                    if len(set3) >= llc_assoc:
+                        victim_line = next(iter(set3))
+                        victim_dirty = set3.pop(victim_line)
+                        n_llc_evict += 1
+                        set3[line] = False
                         victim_dirty = (
                             l1_sets[victim_line % l1_nsets].pop(
                                 victim_line, False
                             )
                             or victim_dirty
                         )
+                        victim_dirty = (
+                            l2_sets[victim_line % l2_nsets].pop(
+                                victim_line, False
+                            )
+                            or victim_dirty
+                        )
                         if victim_dirty:
-                            vset = llc_sets[victim_line % llc_nsets]
-                            if victim_line in vset:
-                                vset[victim_line] = True
-                            else:
-                                _writeback(victim_line)
+                            _writeback(victim_line)
+                        if imon is not None:
+                            imon.note_llc_fill(line, victim_line)
                     else:
-                        set2[line] = False
-                # Fill L1 (inline Machine._fill_l1).
-                if len(set1) >= l1_assoc:
-                    victim_line = next(iter(set1))
-                    victim_dirty = set1.pop(victim_line)
-                    n_l1_evict += 1
-                    set1[line] = w
+                        set3[line] = False
+                        if imon is not None:
+                            imon.note_llc_fill(line, None)
+                # Fill L2 (inline Machine._fill_l2).
+                if len(set2) >= l2_assoc:
+                    victim_line = next(iter(set2))
+                    victim_dirty = set2.pop(victim_line)
+                    n_l2_evict += 1
+                    set2[line] = False
+                    victim_dirty = (
+                        l1_sets[victim_line % l1_nsets].pop(
+                            victim_line, False
+                        )
+                        or victim_dirty
+                    )
                     if victim_dirty:
-                        vset = l2_sets[victim_line % l2_nsets]
+                        vset = llc_sets[victim_line % llc_nsets]
                         if victim_line in vset:
                             vset[victim_line] = True
                         else:
-                            vset = llc_sets[victim_line % llc_nsets]
-                            if victim_line in vset:
-                                vset[victim_line] = True
-                            else:
-                                _writeback(victim_line)
+                            _writeback(victim_line)
                 else:
-                    set1[line] = w
-            if w:
-                n_write_ops += 1
-            last_key = key
-            consumed += 1
-            if deadline is not None and cycles >= deadline:
-                break  # timer due: commit, then fire at the boundary
+                    set2[line] = False
+            # Fill L1 (inline Machine._fill_l1).
+            if len(set1) >= l1_assoc:
+                victim_line = next(iter(set1))
+                victim_dirty = set1.pop(victim_line)
+                n_l1_evict += 1
+                set1[line] = w
+                if victim_dirty:
+                    vset = l2_sets[victim_line % l2_nsets]
+                    if victim_line in vset:
+                        vset[victim_line] = True
+                    else:
+                        vset = llc_sets[victim_line % llc_nsets]
+                        if victim_line in vset:
+                            vset[victim_line] = True
+                        else:
+                            _writeback(victim_line)
+            else:
+                set1[line] = w
+
+        try:
+            for vaddr, w, ok in zip(addrs, writes, singles):
+                if not ok:
+                    break  # multi-line / page-crossing / zero-size op
+                vpn = vaddr // PAGE_SIZE
+                key = asid_base | vpn
+                entry = entries.get(key)
+                if entry is not None:
+                    if w and not entry.writable:
+                        break  # protection upgrade: scalar fault path
+                    pfn = entry.pfn
+                    n_tlb_hit += 1
+                    # LRU refresh: a touched real entry moves behind the
+                    # staged ones (the combined MRU end).
+                    del entries[key]
+                    pending[key] = entry
+                    cycles += op_base
+                else:
+                    staged = pending.get(key)
+                    if staged is not None:
+                        if type(staged) is tuple:
+                            pfn = staged[0]
+                            if w and not staged[1]:
+                                break
+                        else:
+                            pfn = staged.pfn
+                            if w and not staged.writable:
+                                break
+                        n_tlb_hit += 1
+                        pending[key] = pending.pop(key)
+                        cycles += op_base
+                    else:
+                        if walker is None:
+                            break
+                        pte_paddrs, pfn, writable = walker(vpn)
+                        if pfn is None or (w and not writable):
+                            # Fault / protection upgrade: break before
+                            # charging anything — the scalar path then
+                            # executes the op (and its walks) whole.
+                            break
+                        # Scalar order: op_base, the walk's entry reads,
+                        # the TLB fill, then the data line.
+                        cycles += op_base
+                        if pte_paddrs:
+                            for paddr in pte_paddrs:
+                                _line(paddr // CACHE_LINE, False)
+                            n_walks += 1
+                        n_tlb_miss += 1
+                        if len(entries) + len(pending) >= tlb_capacity:
+                            if entries:
+                                victim = entries.pop(next(iter(entries)))
+                            else:
+                                victim = pending.pop(next(iter(pending)))
+                            n_tlb_evict += 1
+                            if imon is not None:
+                                imon.note_tlb_evict(victim)
+                        if defer_entries:
+                            pending[key] = (pfn, writable, vpn)
+                        else:
+                            pending[key] = TlbEntry(
+                                vpn, pfn, writable, asid=asid
+                            )
+                _line(
+                    pfn * LINES_PER_PAGE + vaddr % PAGE_SIZE // CACHE_LINE, w
+                )
+                if w:
+                    n_write_ops += 1
+                last_key = key
+                consumed += 1
+                if deadline is not None and cycles >= deadline:
+                    break  # timer due: commit, then fire at the boundary
+        except _Unbacked:
+            pass  # the scalar path raises on this op
 
         if not consumed:
             return 0, False
@@ -792,6 +771,8 @@ class BatchReplayer:
             counters["tlb.miss"] += n_tlb_miss
         if n_tlb_evict:
             counters["tlb.evictions"] += n_tlb_evict
+        if n_walks:
+            counters["walk.completed"] += n_walks
         l1.commit_run(n_l1_hit, n_l1_miss, n_l1_evict)
         l2.commit_run(n_l2_hit, n_l2_miss, n_l2_evict)
         llc.commit_run(n_llc_hit, n_llc_miss, n_llc_evict)
@@ -802,8 +783,7 @@ class BatchReplayer:
         if n_writebacks:
             counters["cache.writebacks"] += n_writebacks
         machine.clock = clock_base + cycles
-        # Inline impure walks already charged their share via advance().
-        counters["cycles.user"] += cycles - external
+        counters["cycles.user"] += cycles
         controller.read_run(n_nvm_reads, n_dram_reads)
         controller.write_run(n_nvm_writes, n_dram_writes)
         dram_channel.read_run(dram_r_hit, dram_r_miss)

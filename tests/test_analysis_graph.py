@@ -270,6 +270,7 @@ class TestRealTreeGroundTruth:
             "ops.reads",
             "ops.writes",
             "cycles.user",
+            "walk.completed",
             "cache.writebacks",
             "nvm.reads",
             "dram.writes",
@@ -281,10 +282,15 @@ class TestRealTreeGroundTruth:
             assert token in scalar.counters, token
             assert token in batch.counters, token
 
-    def test_os_time_is_the_only_scalar_only_token(self, graph):
+    def test_scalar_only_tokens_are_os_time_and_aborts(self, graph):
+        """Os-mode time and aborted walks happen only where the kernel
+        falls back to scalar (os-mode, faulting walk records)."""
         scalar = graph.transitive(resolve_roots(graph, SCALAR_ROOTS))
         batch = graph.transitive(resolve_roots(graph, BATCH_ROOTS))
-        assert set(scalar.counters) - set(batch.counters) == {"cycles.os.total"}
+        assert set(scalar.counters) - set(batch.counters) == {
+            "cycles.os.total",
+            "walk.aborted",
+        }
         assert set(batch.counters) - set(scalar.counters) == set()
 
     def test_scalar_boundaries_enumerated(self, graph):

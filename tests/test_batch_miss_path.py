@@ -10,8 +10,9 @@ batched run.  These tests pin the two contracts that make that safe:
   machine state *mid run* (row resets, controller power cycles,
   persist barriers, full power failures);
 * **fallback discipline** — every hazard the kernel cannot model
-  (impure walkers, persist hooks, protection upgrades) must break the
-  run *before* mutating anything, leaving the op to the scalar path.
+  (faulting walk records, persist hooks, protection upgrades) must
+  break the run *before* mutating anything, leaving the op to the
+  scalar path.
 """
 
 from repro.arch.machine import LINES_PER_PAGE, Machine
@@ -45,8 +46,8 @@ def _tiny_config() -> MachineConfig:
 
 
 def _premapped(npages: int, nvm: bool = False, read_only_every: int = 0):
-    """Machine with ``npages`` identity-premapped pages, a pure walker,
-    and a protection-upgrade fault handler.
+    """Machine with ``npages`` identity-premapped pages (walk records
+    with no entry reads) and a protection-upgrade fault handler.
 
     ``read_only_every`` > 0 maps every n-th page read-only; the handler
     upgrades it on the first write fault (the scalar path the kernel
@@ -65,9 +66,9 @@ def _premapped(npages: int, nvm: bool = False, read_only_every: int = 0):
         for vpn in range(npages)
     }
 
-    def walker(_machine, vpn):
+    def walker(vpn):
         entry = mapping.get(vpn)
-        return (entry[0], entry[1]) if entry else None
+        return ((), entry[0], entry[1]) if entry else ((), None, False)
 
     def fault(vaddr, is_write):
         entry = mapping.get(vaddr // PAGE_SIZE)
@@ -75,7 +76,7 @@ def _premapped(npages: int, nvm: bool = False, read_only_every: int = 0):
             entry[1] = True
 
     def reinstall():
-        machine.install_context(1, walker, fault, pure_walker=True)
+        machine.install_context(1, walker, fault)
 
     reinstall()
     return machine, reinstall
@@ -120,7 +121,7 @@ def _run_pair(build, trace):
 
 class TestMissKernelEngages:
     def test_miss_heavy_trace_batches_fully(self):
-        """With a pure walker, a TLB/cache-thrashing trace runs almost
+        """With premapped walks, a TLB/cache-thrashing trace runs almost
         entirely through the kernel (this is the perf win the PR is
         gated on — a silent fallback regression shows up here)."""
         trace = _thrash_trace(4000, npages=512)
@@ -156,15 +157,13 @@ class TestMissKernelEngages:
             nvm_base, _ = machine.layout.pfn_range(MemType.NVM)
             mapping = {
                 vpn: (
-                    (nvm_base + vpn, True)
+                    ((), nvm_base + vpn, True)
                     if vpn % 2
-                    else (dram_base + vpn, True)
+                    else ((), dram_base + vpn, True)
                 )
                 for vpn in range(machine_pages)
             }
-            machine.install_context(
-                1, lambda _m, vpn: mapping.get(vpn), None, pure_walker=True
-            )
+            machine.install_context(1, mapping.__getitem__, None)
             return machine
 
         trace = _thrash_trace(4000, npages=machine_pages)
@@ -272,10 +271,11 @@ class TestMidRunInvalidation:
 
 
 class TestFallbackDiscipline:
-    def test_impure_walker_never_walks_inline(self):
-        """Without pure_walker, the kernel must not invoke the walker:
-        walker call counts match the scalar replay exactly (a probe or
-        inline walk would inflate them)."""
+    def test_extra_walker_calls_charge_nothing(self):
+        """The walker is pure: the batch engine calls it more often than
+        the scalar path (the probe and the kernel both read the record),
+        yet every charged walk happens exactly once — call counts may
+        differ, the fingerprint and the walk counters may not."""
         npages = 512
         trace = _thrash_trace(3000, npages=npages)
         calls = []
@@ -283,17 +283,16 @@ class TestFallbackDiscipline:
         def run(batch):
             machine = Machine(_tiny_config())
             base_pfn, _ = machine.layout.pfn_range(MemType.NVM)
-            mapping = {
-                vpn: (base_pfn + vpn, True) for vpn in range(npages)
-            }
+            _, dram_end = machine.layout.pfn_range(MemType.DRAM)
             count = 0
 
-            def walker(_machine, vpn):
+            def walker(vpn):
                 nonlocal count
                 count += 1
-                return mapping.get(vpn)
+                pte = (dram_end - 1) * PAGE_SIZE + (vpn % 512) * 8
+                return [pte], base_pfn + vpn, True
 
-            machine.install_context(1, walker, None)  # impure (default)
+            machine.install_context(1, walker, None)
             if batch:
                 replay_batch(machine, trace)
             else:
@@ -304,7 +303,8 @@ class TestFallbackDiscipline:
 
         scalar_machine = run(batch=False)
         batch_machine = run(batch=True)
-        assert calls[0] == calls[1]
+        assert calls[1] > calls[0] == scalar_machine.stats["walk.completed"]
+        assert batch_machine.stats["walk.completed"] == calls[0]
         assert _fingerprint(batch_machine) == _fingerprint(scalar_machine)
 
     def test_persist_hook_forces_scalar(self):
@@ -360,25 +360,23 @@ class TestFallbackDiscipline:
 
 
 class TestInlineImpureWalks:
-    """Impure walker + ``walker_peek``: charged walks run inline.
+    """Charged walks run inline.
 
-    A gemOS-style walker performs simulated page-table reads through
-    the cache hierarchy (charging cycles, filling lines, potentially
-    evicting dirty victims into the NVM write buffer).  With a pure
-    ``walker_peek`` installed the kernel previews the translation for
-    free, bails to scalar *before* any side effect on a fault or
-    write-protection denial, and otherwise executes the real walk
-    mid-run against synchronized clock and drain state.  Byte identity
-    and walker-call-count equality pin all of that down."""
+    A gemOS-style walk record carries page-table entry reads that go
+    through the cache hierarchy (charging cycles, filling lines,
+    potentially evicting dirty victims into the NVM write buffer).  The
+    kernel reads the record before charging anything, bails to scalar
+    on a fault or write-protection denial, and otherwise runs the entry
+    reads through its own line interpreter with deferred counters.
+    Byte identity and equal charged-walk counts pin all of that down."""
 
     def _charged_space(self, npages, read_only_every=0, holes_every=0):
-        """Machine with an impure four-read walker plus its pure peek.
+        """Machine whose walk records read four "table" entries.
 
         ``holes_every`` leaves every n-th page unmapped; the fault
-        handler demand-maps it (the peek returns None first, so the
-        kernel must break before the charged walk — a double-executed
-        walk would show up in the call count).  Returns
-        ``(machine, calls)`` where ``calls[0]`` counts real walks.
+        handler demand-maps it (the record's translation is None first,
+        so the kernel must break before charging the walk — a
+        double-charged walk would show up in the walk counters).
         """
         machine = Machine(_tiny_config())
         nvm_base, nvm_end = machine.layout.pfn_range(MemType.NVM)
@@ -392,20 +390,15 @@ class TestInlineImpureWalks:
                 continue
             writable = not (read_only_every and vpn % read_only_every == 0)
             mapping[vpn] = [nvm_base + vpn, writable]
-        calls = [0]
 
-        def walker(m, vpn):
-            calls[0] += 1
-            for frame in table_frames:
-                m.phys_line_access(
-                    frame * PAGE_SIZE + (vpn % 512) * 8, is_write=False
-                )
+        def walker(vpn):
+            pte_paddrs = [
+                frame * PAGE_SIZE + (vpn % 512) * 8 for frame in table_frames
+            ]
             entry = mapping.get(vpn)
-            return (entry[0], entry[1]) if entry else None
-
-        def peek(vpn):
-            entry = mapping.get(vpn)
-            return (entry[0], entry[1]) if entry else None
+            if entry is None:
+                return pte_paddrs, None, False
+            return pte_paddrs, entry[0], entry[1]
 
         def fault(vaddr, is_write):
             vpn = vaddr // PAGE_SIZE
@@ -415,26 +408,30 @@ class TestInlineImpureWalks:
             elif is_write:
                 entry[1] = True
 
-        machine.install_context(1, walker, fault, walker_peek=peek)
-        return machine, calls
+        machine.install_context(1, walker, fault)
+        return machine
+
+    @staticmethod
+    def _charged_walks(machine):
+        return machine.stats["walk.completed"] + machine.stats["walk.aborted"]
 
     def _charged_pair(self, trace, **space_kwargs):
         counts = []
 
         def run(batch):
-            machine, calls = self._charged_space(512, **space_kwargs)
+            machine = self._charged_space(512, **space_kwargs)
             if batch:
                 replayer = replay_batch(machine, trace)
             else:
                 replayer = None
                 for vaddr, size, is_write in trace:
                     machine.access(vaddr, size, is_write)
-            counts.append(calls[0])
+            counts.append(self._charged_walks(machine))
             return machine, replayer
 
         scalar_machine, _ = run(batch=False)
         batch_machine, replayer = run(batch=True)
-        assert counts[0] == counts[1] > 0  # every walk ran exactly once
+        assert counts[0] == counts[1] > 0  # every walk charged exactly once
         assert _fingerprint(batch_machine) == _fingerprint(scalar_machine)
         return replayer
 
@@ -445,18 +442,37 @@ class TestInlineImpureWalks:
         replayer = self._charged_pair(trace)
         assert replayer.batched_ops > replayer.scalar_ops
 
+    def test_kernel_walks_never_call_phys_line_access(self):
+        """The kernel charges entry reads through its own interpreter:
+        a clean, all-walking trace runs entirely in the kernel without
+        one call to the scalar line path."""
+        machine = self._charged_space(512)
+        calls = []
+        scalar_line = machine.phys_line_access
+
+        def counting_line(*args, **kwargs):
+            calls.append(args)
+            scalar_line(*args, **kwargs)
+
+        machine.phys_line_access = counting_line
+        trace = _thrash_trace(3000, npages=512)
+        replayer = replay_batch(machine, trace)
+        assert replayer.scalar_ops == 0
+        assert machine.stats["walk.completed"] == machine.stats["tlb.miss"] > 2900
+        assert calls == []
+
     def test_peek_fault_bails_before_walk(self):
-        """Unmapped pages: the peek sees None and the op breaks to
-        scalar *before* the charged walk, so demand faulting runs the
-        walker the same number of times as pure scalar replay."""
+        """Unmapped pages: the record's translation is None and the op
+        breaks to scalar *before* its entry reads are charged, so
+        demand faulting charges the same walks as pure scalar replay."""
         trace = _thrash_trace(3000, npages=512)
         replayer = self._charged_pair(trace, holes_every=7)
         assert replayer.batched_ops > 0
         assert replayer.scalar_ops > 0
 
     def test_peek_protection_denial_bails_before_walk(self):
-        """Writes through read-only translations break pre-walk; the
-        scalar retry pays the walk + upgrade fault exactly once."""
+        """Writes through read-only translations break before charging;
+        the scalar retry pays the walk + upgrade fault exactly once."""
         trace = _thrash_trace(3000, npages=512, write_every=2)
         replayer = self._charged_pair(trace, read_only_every=5)
         assert replayer.batched_ops > 0
@@ -470,7 +486,7 @@ class TestInlineImpureWalks:
         fires = []
 
         def run(batch):
-            machine, calls = self._charged_space(512)
+            machine = self._charged_space(512)
 
             def on_fire():
                 machine.stats.add("test.hazard_fires")
@@ -490,7 +506,7 @@ class TestInlineImpureWalks:
                 for vaddr, size, is_write in trace:
                     machine.access(vaddr, size, is_write)
             fires.append(machine.stats["test.hazard_fires"])
-            return machine, calls[0], replayer
+            return machine, self._charged_walks(machine), replayer
 
         scalar_machine, scalar_calls, _ = run(batch=False)
         batch_machine, batch_calls, replayer = run(batch=True)

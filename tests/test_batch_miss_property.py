@@ -89,12 +89,12 @@ def _expand(bursts):
 
 
 def _machine_with_space(asid: int, read_only_every: int = 7,
-                        flavor: str = "pure"):
+                        flavor: str = "premapped"):
     """Tiny machine + walker space; every n-th page is read-only with
     a fault handler that upgrades it (protection-upgrade hazard).
-    ``flavor`` picks the walker contract: ``"pure"`` (declared pure,
-    zero-cost) or ``"charged_peek"`` (impure gemOS-style walker doing
-    four charged page-table reads, batched via ``walker_peek``).
+    ``flavor`` picks the walk records: ``"premapped"`` (no entry
+    reads) or ``"charged"`` (gemOS-style, four page-table entry reads
+    charged through the cache hierarchy).
     Returns (machine, install) — ``install`` accepts a machine so the
     same space layout can be installed on several machines."""
     machine = Machine(_tiny_config())
@@ -104,7 +104,7 @@ def _machine_with_space(asid: int, read_only_every: int = 7,
 
 
 def _space_installer(machine, asid: int, read_only_every: int,
-                     flavor: str = "pure"):
+                     flavor: str = "premapped"):
     dram_base, _ = machine.layout.pfn_range(MemType.DRAM)
     nvm_base, _ = machine.layout.pfn_range(MemType.NVM)
     # Per-asid placement: interleave DRAM/NVM with an asid-dependent
@@ -118,21 +118,21 @@ def _space_installer(machine, asid: int, read_only_every: int,
         writable = not (read_only_every and vpn % read_only_every == 0)
         mapping[vpn] = [pfn, writable]
 
-    def peek(vpn):
-        entry = mapping.get(vpn)
-        return (entry[0], entry[1]) if entry else None
-
     # Four per-asid "table frames" at the top of DRAM for the charged
-    # walker flavor (outside every space's data frames).
+    # flavor (outside every space's data frames).
     _dram_base, dram_end = machine.layout.pfn_range(MemType.DRAM)
     table_frames = [dram_end - 1 - asid * 4 - level for level in range(4)]
 
-    def charged_walker(m, vpn):
-        for frame in table_frames:
-            m.phys_line_access(
-                frame * PAGE_SIZE + (vpn % 512) * 8, is_write=False
-            )
-        return peek(vpn)
+    def walker(vpn):
+        pte_paddrs = (
+            [frame * PAGE_SIZE + (vpn % 512) * 8 for frame in table_frames]
+            if flavor == "charged"
+            else ()
+        )
+        entry = mapping.get(vpn)
+        if entry is None:
+            return pte_paddrs, None, False
+        return pte_paddrs, entry[0], entry[1]
 
     def fault(vaddr, is_write):
         entry = mapping.get(vaddr // PAGE_SIZE)
@@ -140,15 +140,7 @@ def _space_installer(machine, asid: int, read_only_every: int,
             entry[1] = True
 
     def install(target):
-        if flavor == "charged_peek":
-            target.install_context(
-                asid, charged_walker, fault, walker_peek=peek
-            )
-        else:
-            target.install_context(
-                asid, lambda _machine, vpn: peek(vpn), fault,
-                pure_walker=True,
-            )
+        target.install_context(asid, walker, fault)
 
     return install
 
@@ -170,13 +162,13 @@ class TestMissPathProperties:
     @given(
         bursts=trace_strategy,
         tick_period=st.integers(0, 1),
-        flavor=st.sampled_from(["pure", "charged_peek"]),
+        flavor=st.sampled_from(["premapped", "charged"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_single_space_byte_identical(self, bursts, tick_period, flavor):
         """Any burst mixture replays byte-identically batch vs scalar,
         with or without a clock-advancing periodic timer, under both
-        walker contracts (pure, and charged-impure with a peek)."""
+        kinds of walk record (premapped, and charged entry reads)."""
         ops = _expand(bursts)
         packed = PackedTrace.from_ops(ops)
         results = []
@@ -204,14 +196,14 @@ class TestMissPathProperties:
 
     @given(
         schedule=schedule_strategy,
-        flavor=st.sampled_from(["pure", "charged_peek"]),
+        flavor=st.sampled_from(["premapped", "charged"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_multi_process_interference_identical(self, schedule, flavor):
         """Context switches between replay segments plus the
         interference monitor: attribution (including every per-pair
         counter) must match the scalar replay exactly — inline charged
-        walks included (their page-table traffic is attributed live)."""
+        walks included (their page-table traffic is attributed too)."""
         segments = [
             (space, _expand([burst])) for space, burst in schedule
         ]

@@ -158,3 +158,54 @@ class TestCli:
         # The trajectory file must carry the pre-PR baseline so future
         # sessions can see the whole perf history.
         assert SEED_BASELINE["ops_per_sec"]["l1_resident"] > 0
+
+
+class TestSweepMeasurement:
+    @pytest.fixture
+    def instant_fig4a(self, monkeypatch):
+        """Replace the timed Fig. 4a sweep with an instant stub."""
+        import repro.harness.experiments as experiments
+
+        monkeypatch.setattr(
+            experiments,
+            "run_fig4a",
+            lambda sizes_mb, scale, engine=None: [list(sizes_mb), scale],
+        )
+
+    def test_single_cpu_speedup_is_not_measured(self, monkeypatch, instant_fig4a):
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 1)
+        report = bench.measure_sweep(jobs=2, smoke=True)
+        assert report["speedup"] is None
+        assert report["speedup_reason"] == "not measured: 2 worker(s) on 1 CPU(s)"
+        assert report["identical_output"] is True
+
+    def test_single_worker_speedup_is_not_measured(self, monkeypatch, instant_fig4a):
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 8)
+        report = bench.measure_sweep(jobs=1, smoke=True)
+        assert report["speedup"] is None
+        assert "1 worker(s)" in report["speedup_reason"]
+
+    def test_parallel_host_reports_a_speedup(self, monkeypatch, instant_fig4a):
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 4)
+        report = bench.measure_sweep(jobs=2, smoke=True)
+        assert isinstance(report["speedup"], float)
+        assert report["speedup_reason"] is None
+
+    def test_printer_handles_both_cases(self, capsys):
+        base = {
+            "experiment": "fig4a",
+            "cells": 2,
+            "workers": 1,
+            "serial_s": 1.0,
+            "parallel_s": 1.0,
+            "warm_s": 0.01,
+            "warm_over_cold": 0.01,
+            "warm_cache_hit_rate": 1.0,
+        }
+        bench.print_sweep(
+            dict(base, speedup=None, speedup_reason="not measured: 1 worker(s) on 1 CPU(s)")
+        )
+        bench.print_sweep(dict(base, workers=2, speedup=1.8, speedup_reason=None))
+        out = capsys.readouterr().out
+        assert "(not measured: 1 worker(s) on 1 CPU(s))" in out
+        assert "(1.80x)" in out

@@ -7,9 +7,11 @@ same final clock and the same physical memory contents — with and
 without hardware extensions attached.
 """
 
+import dataclasses
+
 from repro.arch.hooks import HardwareExtension
 from repro.arch.machine import Machine
-from repro.common.config import small_machine_config
+from repro.common.config import TlbConfig, small_machine_config
 from repro.common.rng import derive_rng
 from repro.common.units import PAGE_SIZE
 from repro.mem.hybrid import MemType
@@ -40,9 +42,9 @@ def _install_space(machine: Machine):
     dram_pages = dram_end - dram_base
     mapping = {}
 
-    def walker(_machine, vpn):
+    def walker(vpn):
         entry = mapping.get(vpn)
-        return (entry[0], entry[1]) if entry else None
+        return ((), entry[0], entry[1]) if entry else ((), None, False)
 
     def fault(vaddr, is_write):
         vpn = vaddr // PAGE_SIZE
@@ -263,6 +265,57 @@ class TestGoldenEquivalence:
         # The attribution counters are inside the compared dump — and
         # non-trivial: processes really displaced each other's entries.
         assert batch_system.stats["interference.tlb.cross"] > 0
+
+    def test_batch_replay_identical_on_walk_heavy_gemos_traffic(self):
+        """gemOS page tables behind a 4-entry TLB, so most ops walk: the
+        kernel charges the walk records' entry reads inline, and stats
+        (interference counters included), clock and physical memory must
+        still match scalar replay byte for byte."""
+        from repro.arch.interference import InterferenceMonitor
+        from repro.platform import HybridSystem
+        from repro.workloads.traffic import (
+            ClientPopulation,
+            PopulationConfig,
+            TrafficScheduler,
+        )
+
+        config = PopulationConfig(
+            seed=11,
+            clients=8,
+            processes=2,
+            ops_per_client=400,
+            arrival="poisson",
+            period=1 << 20,
+            sched_slices=16,
+        )
+        schedule = ClientPopulation(config).generate()
+        machine_config = dataclasses.replace(
+            small_machine_config(), tlb=TlbConfig(entries=4)
+        )
+
+        def run(batch):
+            system = HybridSystem(config=machine_config, persistence=False)
+            system.boot()
+            system.machine.install_interference_monitor(
+                InterferenceMonitor()
+            )
+            scheduler = TrafficScheduler(system, schedule)
+            scheduler.provision()
+            return system, scheduler.run(batch=batch)
+
+        scalar_system, scalar_result = run(batch=False)
+        batch_system, batch_result = run(batch=True)
+        stats = batch_system.stats
+        assert _fingerprint(batch_system.machine) == _fingerprint(
+            scalar_system.machine
+        )
+        assert dict(stats.with_prefix("interference.")) == dict(
+            scalar_system.stats.with_prefix("interference.")
+        )
+        assert batch_result.ops == scalar_result.ops == config.total_ops
+        assert stats["tlb.miss"] > stats["tlb.hit"]  # most ops walk
+        assert stats["walk.completed"] > config.total_ops // 2
+        assert batch_result.batched_ops > config.total_ops // 2
 
     def test_fast_path_actually_taken(self):
         """The fast machine must serve ops without entering Tlb.lookup."""

@@ -18,10 +18,10 @@ def machine():
 def install_flat_space(machine, pages=64, writable=True, base_pfn=0):
     """Identity-ish walker: vpn n -> pfn base_pfn + n for n < pages."""
 
-    def walker(_machine, vpn):
+    def walker(vpn):
         if vpn < pages:
-            return (base_pfn + vpn, writable)
-        return None
+            return (), base_pfn + vpn, writable
+        return (), None, False
 
     machine.install_context(1, walker, None)
 
@@ -154,8 +154,8 @@ class TestVirtualPath:
     def test_fault_handler_invoked_once(self, machine):
         mapped = {}
 
-        def walker(_m, vpn):
-            return mapped.get(vpn)
+        def walker(vpn):
+            return (), *mapped.get(vpn, (None, False))
 
         calls = []
 
@@ -168,15 +168,15 @@ class TestVirtualPath:
         assert calls == [0]
 
     def test_unresolved_fault_raises(self, machine):
-        machine.install_context(1, lambda m, v: None, lambda a, w: None)
+        machine.install_context(1, lambda v: ((), None, False), lambda a, w: None)
         with pytest.raises(FaultError):
             machine.access(0, 8, False)
 
     def test_write_to_readonly_invokes_handler(self, machine):
         perms = {"writable": False}
 
-        def walker(_m, vpn):
-            return (vpn, perms["writable"])
+        def walker(vpn):
+            return (), vpn, perms["writable"]
 
         def handler(vaddr, is_write):
             perms["writable"] = True

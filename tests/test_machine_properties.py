@@ -59,7 +59,9 @@ access_lists = st.lists(
 
 def flat_machine(pages=64):
     machine = Machine(small_machine_config())
-    machine.install_context(1, lambda m, vpn: (vpn, True) if vpn < pages else None, None)
+    machine.install_context(
+        1, lambda vpn: ((), vpn, True) if vpn < pages else ((), None, False), None
+    )
     return machine
 
 

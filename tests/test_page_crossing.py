@@ -7,12 +7,12 @@ frame physically adjacent to the first page — exactly the class of
 value-fidelity bug the framework exists to catch.
 """
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.machine import Machine
+from repro.arch.machine import Machine, WalkRecord
 from repro.common.config import small_machine_config
 from repro.common.units import PAGE_SIZE
 
@@ -20,8 +20,8 @@ from repro.common.units import PAGE_SIZE
 def _machine_with_mapping(mapping: Dict[int, Tuple[int, bool]]) -> Machine:
     machine = Machine(small_machine_config())
 
-    def walker(_machine: Machine, vpn: int) -> Optional[Tuple[int, bool]]:
-        return mapping.get(vpn)
+    def walker(vpn: int) -> WalkRecord:
+        return (), *mapping.get(vpn, (None, False))
 
     machine.install_context(1, walker, None)
     return machine

@@ -6,7 +6,15 @@ from repro.arch.machine import Machine
 from repro.common.config import small_machine_config
 from repro.common.stats import Stats
 from repro.gemos.frames import FrameAllocator
-from repro.gemos.pagetable import ENTRIES_PER_TABLE, LEVELS, PageTable
+from repro.common.errors import FaultError
+from repro.common.units import PAGE_SIZE
+from repro.gemos.pagetable import (
+    ENTRIES_PER_TABLE,
+    LEVELS,
+    PTE_SIZE,
+    PageTable,
+    _index_at,
+)
 from repro.mem.hybrid import MemType
 
 
@@ -130,19 +138,67 @@ class TestObserver:
 class TestHardwareWalk:
     def test_walk_finds_mapping(self, table):
         machine = Machine(small_machine_config())
+        machine.install_context(1, table.hw_walk, None)
         table.map(7, 12)
-        assert table.hw_walk(machine, 7) == (12, True)
+        _, pfn, writable = table.hw_walk(7)
+        assert (pfn, writable) == (12, True)
+        assert machine.translate(7 * PAGE_SIZE, False).pfn == 12
         assert machine.stats["walk.completed"] == 1
 
     def test_walk_charges_four_accesses(self, table):
         machine = Machine(small_machine_config())
+        machine.install_context(1, table.hw_walk, None)
         table.map(7, 12)
         machine.stats.reset()
-        table.hw_walk(machine, 7)
+        machine.translate(7 * PAGE_SIZE, False)
         probes = machine.stats["l1.hit"] + machine.stats["l1.miss"]
         assert probes == LEVELS
 
     def test_walk_aborts_on_missing(self, table):
         machine = Machine(small_machine_config())
-        assert table.hw_walk(machine, 7) is None
+        machine.install_context(1, table.hw_walk, None)
+        assert table.hw_walk(7)[1] is None
+        with pytest.raises(FaultError):
+            machine.translate(7 * PAGE_SIZE, False)
         assert machine.stats["walk.aborted"] == 1
+
+
+class TestWalkRecord:
+    """``hw_walk`` is data: entry addresses in walk order, then the
+    translation, with nothing charged."""
+
+    def test_addresses_are_each_levels_entry(self, table):
+        vpn = (3 << 27) | (5 << 18) | (7 << 9) | 9
+        table.map(vpn, 42, writable=False)
+        expected = []
+        node = table.root
+        for level in range(LEVELS - 1, -1, -1):
+            index = _index_at(vpn, level)
+            expected.append(node.entry_paddr(index))
+            node = node.entries[index]
+        assert table.hw_walk(vpn) == (expected, 42, False)
+        assert table.peek(vpn) == (42, False)
+
+    @pytest.mark.parametrize("level", range(LEVELS))
+    def test_fault_at_each_level_ends_at_the_aborting_entry(self, table, level):
+        table.map(0, 1)
+        mapped_paddrs, _, _ = table.hw_walk(0)
+        vpn = 1 << (9 * level)  # diverges from vpn 0 at ``level``
+        paddrs, pfn, writable = table.hw_walk(vpn)
+        depth = LEVELS - level
+        assert (pfn, writable) == (None, False)
+        assert len(paddrs) == depth
+        assert paddrs[:-1] == mapped_paddrs[: depth - 1]
+        # Same table, the neighbouring entry.
+        assert paddrs[-1] == mapped_paddrs[depth - 1] + PTE_SIZE
+        assert table.peek(vpn) is None
+
+    def test_walks_are_pure(self, table):
+        machine = Machine(small_machine_config())
+        machine.install_context(1, table.hw_walk, None)
+        table.map(7, 12)
+        table.map(ENTRIES_PER_TABLE**3, 13)
+        before = (machine.clock, machine.stats.dump(), table.entry_writes)
+        for vpn in (7, ENTRIES_PER_TABLE**3, 8, 1 << 30):
+            assert machine.walker(vpn) == machine.walker(vpn)
+        assert (machine.clock, machine.stats.dump(), table.entry_writes) == before

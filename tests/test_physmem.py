@@ -62,6 +62,13 @@ class TestPageOps:
         mem.zero_page(0)
         assert mem.read(0, 4) == b"\x00" * 4
 
+    def test_zero_page_clears_the_same_frame_in_place(self, mem):
+        mem.write(2 * PAGE_SIZE + PAGE_SIZE - 3, b"end")
+        frame = mem._frames[2]  # noqa: SLF001 - identity is the contract
+        mem.zero_page(2)
+        assert mem._frames[2] is frame  # noqa: SLF001
+        assert frame == bytearray(PAGE_SIZE)
+
     def test_page_snapshot(self, mem):
         assert mem.page_snapshot(3) is None
         mem.write(3 * PAGE_SIZE, b"z")

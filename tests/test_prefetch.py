@@ -11,7 +11,7 @@ from repro.common.units import CACHE_LINE, PAGE_SIZE
 
 def flat_machine(prefetcher=None):
     machine = Machine(small_machine_config())
-    machine.install_context(1, lambda m, vpn: (vpn, True), None)
+    machine.install_context(1, lambda vpn: ((), vpn, True), None)
     if prefetcher is not None:
         machine.attach_extension(prefetcher)
     return machine

@@ -29,22 +29,18 @@ Five per-file checkers ship with the repo (see
     ``repro.exec`` task targets that are not top-level,
     import-resolvable, mutable-default-free functions.
 
-Four *whole-program* checkers reason over a cross-module call graph
+Three *whole-program* checkers reason over a cross-module call graph
 with fixed-point effect propagation (:mod:`repro.analysis.graph`,
 built from :mod:`repro.analysis.effects` summaries) instead of one
 file at a time:
 
 ``counter-parity``
-    every stat key the scalar replay path bumps is aggregated by a
-    batch run-commit kernel, and the kernels invent no batch-only
-    keys;
+    every stat key the scalar replay path bumps is reachable from the
+    batch miss-run kernel, and the kernels invent no batch-only keys;
 ``fallback-coverage``
     every dynamic scalar boundary (walkers, fault/persist hooks,
     extensions, timers, os-mode) has a kernel eligibility guard and a
     row in the EXPERIMENTS.md scalar-fallback taxonomy;
-``clock-parity``
-    no ``advance()``/clock write reachable from the batch commit path
-    outside the kernel module;
 ``observer-purity``
     interference-monitor hooks stay pure: own state and
     ``interference.*`` counters only.

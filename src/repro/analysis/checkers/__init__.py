@@ -7,7 +7,6 @@ Importing this package registers every checker with
 from __future__ import annotations
 
 from repro.analysis.checkers import (  # noqa: F401 - registration imports
-    clockparity,
     counterparity,
     determinism,
     fallbackcov,

@@ -1,12 +1,15 @@
 """counter-parity: scalar and batched replay must bump the same keys.
 
 The batched kernels (`BatchReplayer._miss_run` / `._commit`) promise
-byte-identical stats to the scalar `Machine.access` path.  This checker
-proves the *key-set* half of that promise statically: every stat
-counter the scalar path can bump, transitively through helpers
-(`Cache.lookup`, `MemoryChannel.read_latency`, the TLB-evict callback
-chain, interference hooks...), must be aggregated by some batch
-run-commit kernel — and the kernels must not invent batch-only keys.
+byte-identical stats to the scalar `Machine.access` path.  The miss-run
+kernel shares the cache/memory line path (`Machine.phys_line_access`)
+with scalar replay but tallies TLB, walk and op counts itself.  This
+checker proves the *key-set* half of the promise statically: every
+stat counter the scalar path can bump, transitively through helpers
+(`Tlb.lookup`, the line path, `MemoryChannel.read_latency`, the
+TLB-evict callback chain, interference hooks...), must be reachable
+from the miss-run kernel — and the kernels must not invent batch-only
+keys.
 
 Keys are compared as normalized tokens: literal keys verbatim
 (``"tlb.hit"``), precomputed per-instance key attributes by their
@@ -40,10 +43,6 @@ from repro.analysis.wholeprogram import (
 #: the fallback-taxonomy category that makes the asymmetry safe: the
 #: kernel refuses the whole run before the key could matter.
 SCALAR_ONLY_EXCLUSIONS: Dict[str, str] = {
-    # Batched runs execute strictly in user mode; the eligibility
-    # precheck bails on any mode stack, so os-time never accrues
-    # inside a kernel.
-    "cycles.os.total": "os-mode",
     # A walk aborts only on an unmapped translation; the kernel reads
     # the walk record first and breaks to scalar before charging it.
     "walk.aborted": "fault_handler",
@@ -55,8 +54,8 @@ class CounterParityChecker(WholeProgramChecker):
     id = "counter-parity"
     pragma = "counter-parity"
     description = (
-        "every stat key the scalar replay path bumps is aggregated by a "
-        "batch run-commit kernel, and vice versa"
+        "every stat key the scalar replay path bumps is reachable from "
+        "the batch miss-run kernel, and vice versa"
     )
 
     def analyze(self, ctx: AnalysisContext) -> List[Finding]:
@@ -95,10 +94,10 @@ class CounterParityChecker(WholeProgramChecker):
                     kernel_line,
                     "missing-aggregation",
                     f"scalar replay path bumps stat key {token!r} "
-                    f"(via {where}) but no batch run-commit kernel "
-                    f"aggregates it",
-                    "add the key to the paired *_run/commit_run kernel "
-                    "or make the eligibility precheck fall back to scalar",
+                    f"(via {where}) but the miss-run kernel never "
+                    f"produces it",
+                    "tally the key in the kernel or make the "
+                    "eligibility precheck fall back to scalar",
                 )
             )
         for token in sorted(set(batch_tokens) - set(scalar_tokens)):

@@ -1,6 +1,6 @@
 """fallback-coverage: every unmodelable scalar effect has a guard.
 
-The batch kernel interprets ops against live structures, but some
+The batch kernel runs ops against live structures, but some
 scalar behavior is *injected* — page walkers, fault handlers, persist
 hooks, hardware-extension buses, timer callbacks, os-mode accounting.
 The kernel cannot model those; its contract is to detect them in the

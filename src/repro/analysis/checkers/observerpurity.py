@@ -8,8 +8,8 @@ respect to simulated state: they may read machine structures and keep
 their own bookkeeping, and they may bump counters in their own
 ``interference.`` namespace — but they must never mutate machine
 hardware state, move the clock, charge cycles, or write foreign stat
-keys, because the kernel replays their hook invocations at batched
-commit points where any such mutation would diverge from scalar order.
+keys, because the kernel calls `note_tlb_evict` while its TLB state is
+still staged, where any such mutation would diverge from scalar order.
 
 Concretely, inside an observer class's hook closure this checker
 flags: `advance()` calls and clock writes; counter bumps whose key is

@@ -18,7 +18,8 @@ Resolution is deliberately tiered, strongest evidence first:
    constructor/annotation facts, following local aliases
    (``machine = self.machine``) and loop elements
    (``for ext in self.extensions`` with a ``List[...]`` annotation);
-3. callback bindings collected from src modules;
+3. callback bindings collected from src modules, and bound methods
+   hoisted into locals (``f = self.obj.method``; ``f(...)``);
 4. *modeled boundaries*: attributes that hold injected OS behavior
    (``walker``, ``fault_handler``, ``persist_hook``, timer
    ``callback``) and calls on :class:`HardwareExtension`-typed
@@ -398,7 +399,7 @@ class ProjectGraph:
         line: int,
     ) -> List[Edge]:
         if method == "__call__":
-            return self._resolve_plain_call(module, receiver, line)
+            return self._resolve_plain_call(module, fn, receiver, line)
         typed = self._type_of_chain(module, fn, receiver)
         if isinstance(typed, tuple) and typed[0] == "boundary":
             # The chain itself ends on a boundary attr; calling any
@@ -464,11 +465,21 @@ class ProjectGraph:
         return None
 
     def _resolve_plain_call(
-        self, module: str, receiver: Sequence[str], line: int
+        self,
+        module: str,
+        fn: FunctionEffects,
+        receiver: Sequence[str],
+        line: int,
     ) -> List[Edge]:
         if len(receiver) != 1 or not receiver[0].startswith("@"):
             return []
         name = receiver[0][1:]
+        source = fn.local_sources.get(name)
+        if source and len(source) > 1 and source[0] not in ("!call", "!iter"):
+            # A bound method hoisted into a local
+            # (``line_access = machine.phys_line_access``) resolves like
+            # the attribute call it stands for.
+            return self._resolve_call(module, fn, source[:-1], source[-1], line)
         summary = self.summaries.get(module)
         if summary is None:
             return []

@@ -1,7 +1,7 @@
 """Base machinery for whole-program (graph-backed) checkers.
 
 Per-file checkers re-derive everything from the one file they are
-handed; the four drift checkers instead analyze the entire scanned
+handed; the three drift checkers instead analyze the entire scanned
 tree once — through :func:`repro.analysis.graph.project_graph` — and
 then hand each file its slice of the findings.  This base class owns
 that once-per-context memoization, the activation gate (a
@@ -31,8 +31,8 @@ BATCH_ROOTS: Tuple[str, ...] = (
     "BatchReplayer._commit",
 )
 
-#: The general kernel: interprets eligible ops against live structures
-#: and must be able to produce *every* scalar stat key.  (`_commit`
+#: The general kernel: runs eligible ops through the machine's line
+#: path and must be able to produce *every* scalar stat key.  (`_commit`
 #: only covers the all-fast-hit special case, so aggregation
 #: completeness is judged against this root alone.)
 BATCH_KERNEL_ROOT = "BatchReplayer._miss_run"

@@ -4,69 +4,42 @@ Lines are identified by their global line number (physical address
 divided by the 64-byte line size).  Each set is a dict mapping line
 number to a dirty flag; Python dicts preserve insertion order, so LRU
 is maintained by delete-and-reinsert on every touch.
+
+A :class:`Cache` holds one level's state, geometry and stat keys.  The
+hit, fill and victim logic of the whole hierarchy lives in one place,
+:meth:`repro.arch.machine.Machine.phys_line_access`, which works on
+these sets directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.common.config import CacheConfig
-from repro.common.stats import Stats
 
 
 class Cache:
     """One cache level."""
 
-    def __init__(self, config: CacheConfig, stats: Stats) -> None:
+    def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self.stats = stats
         self.name = config.name
         self.assoc = config.assoc
         self.num_sets = config.num_sets
         self._sets: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
-        # Stat keys are precomputed and bumped directly on the counter
-        # mapping: lookup() runs once per line per cache level, so
-        # per-probe f-string formatting dominated the replay hot path.
+        # Stat keys are precomputed: the line path bumps them once per
+        # line per cache level, where f-string formatting would dominate.
         lower = self.name.lower()
         self._hit_key = f"{lower}.hit"
         self._miss_key = f"{lower}.miss"
         self._evictions_key = f"{lower}.evictions"
-        self._counters = stats.counters
 
     def _set_for(self, line: int) -> Dict[int, bool]:
         return self._sets[line % self.num_sets]
 
-    def lookup(self, line: int, is_write: bool) -> bool:
-        """Probe for ``line``; on hit, refresh LRU and merge dirty bit."""
-        cache_set = self._sets[line % self.num_sets]
-        if line not in cache_set:
-            self._counters[self._miss_key] += 1
-            return False
-        cache_set[line] = cache_set.pop(line) or is_write
-        self._counters[self._hit_key] += 1
-        return True
-
     def contains(self, line: int) -> bool:
         """Probe without touching LRU or stats (snoop)."""
         return line in self._set_for(line)
-
-    def fill(self, line: int, dirty: bool = False) -> Optional[Tuple[int, bool]]:
-        """Install ``line``; return the evicted ``(line, dirty)`` victim.
-
-        If the line is already present its dirty bit is merged and no
-        victim is produced.
-        """
-        cache_set = self._set_for(line)
-        if line in cache_set:
-            cache_set[line] = cache_set.pop(line) or dirty
-            return None
-        victim: Optional[Tuple[int, bool]] = None
-        if len(cache_set) >= self.assoc:
-            victim_line = next(iter(cache_set))
-            victim = (victim_line, cache_set.pop(victim_line))
-            self._counters[self._evictions_key] += 1
-        cache_set[line] = dirty
-        return victim
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if present; returns its dirty bit (False if absent)."""
@@ -81,14 +54,6 @@ class Cache:
         cache_set = self._set_for(line)
         if cache_set.get(line):
             cache_set[line] = False
-            return True
-        return False
-
-    def set_dirty(self, line: int) -> bool:
-        """Mark a resident line dirty (writeback landing from above)."""
-        cache_set = self._set_for(line)
-        if line in cache_set:
-            cache_set[line] = True
             return True
         return False
 
@@ -109,34 +74,6 @@ class Cache:
         for line, is_write in zip(lines, wrote):
             cache_set = sets[line % nsets]
             cache_set[line] = cache_set.pop(line) or is_write
-
-    def run_view(self):
-        """Live set structure + geometry for the batched miss-run
-        kernel (repro.replay.batch): ``(sets, num_sets, assoc)``.
-
-        The list and its per-set dicts are the real objects —
-        :meth:`drop_all` clears them in place, so a cached view stays
-        valid across power cycles; the kernel performs the same
-        pop/reinsert, fill and victim-eviction mutations the scalar
-        path would, deferring only the counter bumps to
-        :meth:`commit_run`.
-        """
-        return self._sets, self.num_sets, self.assoc
-
-    def commit_run(self, hits: int, misses: int, evictions: int) -> None:
-        """Bulk counter adds for a committed batched miss run.
-
-        Each add is guarded: a zero add would create counter keys that
-        a scalar replay of the same ops never creates, breaking the
-        byte-identical stats dump the batch engine is gated on.
-        """
-        counters = self._counters
-        if hits:
-            counters[self._hit_key] += hits
-        if misses:
-            counters[self._miss_key] += misses
-        if evictions:
-            counters[self._evictions_key] += evictions
 
     def drop_all(self) -> None:
         """Power cycle: all contents (including dirty lines) are lost."""

@@ -28,10 +28,9 @@ the replay fast path; the monitor must not).  Its hooks sit only on
 miss paths — LLC victim fills, device accesses, TLB capacity evictions
 — which the batch engine's vectorized fast runs never execute (those
 are TLB-resident L1 hits by construction).  The miss-run kernel *does*
-execute them batched: with a monitor installed it invokes the same
-hooks at the same points in the same order as the scalar path, with
-the channel's ``last_row_hit`` already set when ``note_device`` reads
-it, so batch and scalar replays produce identical interference
+execute them: its lines go through the machine's own line path, which
+calls these hooks, and it notes its staged TLB evictions at the scalar
+points, so batch and scalar replays produce identical interference
 counters (the golden-equivalence suite compares them per pair key).
 
 Known approximation: LLC line ownership is recorded at fill time and

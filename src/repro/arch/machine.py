@@ -85,9 +85,9 @@ class Machine:
         self.controller = HybridMemoryController(
             self.config.dram, self.config.nvm, self.config.nvm_buffers, self.stats
         )
-        self.l1 = Cache(self.config.l1, self.stats)
-        self.l2 = Cache(self.config.l2, self.stats)
-        self.llc = Cache(self.config.llc, self.stats)
+        self.l1 = Cache(self.config.l1)
+        self.l2 = Cache(self.config.l2)
+        self.llc = Cache(self.config.llc)
         self.tlb = Tlb(self.config.tlb, self.stats)
         self.tlb.on_evict = self._tlb_evict_hook
         self.msr = MsrFile()
@@ -140,10 +140,26 @@ class Machine:
         self._l2_hit_latency = self.config.l2.hit_latency
         self._llc_hit_latency = self.config.llc.hit_latency
         self._fast_cycles = self._op_base_cycles + self._l1_hit_latency
+        # Cache geometry and stat keys for phys_line_access; the set
+        # lists are the caches' own (Cache.drop_all clears them in place).
         self._l1_sets = self.l1._sets  # noqa: SLF001 - hot path
         self._l1_nsets = self.l1.num_sets
+        self._l1_assoc = self.l1.assoc
         self._l1_hit_key = self.l1._hit_key  # noqa: SLF001 - hot path
         self._l1_miss_key = self.l1._miss_key  # noqa: SLF001 - hot path
+        self._l1_evictions_key = self.l1._evictions_key  # noqa: SLF001
+        self._l2_sets = self.l2._sets  # noqa: SLF001 - hot path
+        self._l2_nsets = self.l2.num_sets
+        self._l2_assoc = self.l2.assoc
+        self._l2_hit_key = self.l2._hit_key  # noqa: SLF001 - hot path
+        self._l2_miss_key = self.l2._miss_key  # noqa: SLF001 - hot path
+        self._l2_evictions_key = self.l2._evictions_key  # noqa: SLF001
+        self._llc_sets = self.llc._sets  # noqa: SLF001 - hot path
+        self._llc_nsets = self.llc.num_sets
+        self._llc_assoc = self.llc.assoc
+        self._llc_hit_key = self.llc._hit_key  # noqa: SLF001 - hot path
+        self._llc_miss_key = self.llc._miss_key  # noqa: SLF001 - hot path
+        self._llc_evictions_key = self.llc._evictions_key  # noqa: SLF001
         self._timer_heap = self.timers._heap  # noqa: SLF001 - hot path
 
     # ------------------------------------------------------------------
@@ -250,38 +266,96 @@ class Machine:
         is_write: bool,
         entry: Optional[TlbEntry] = None,
     ) -> None:
-        """One line-granularity access through the full cache hierarchy."""
+        """One line-granularity access through L1, L2, the LLC and memory.
+
+        The one implementation of the cache hierarchy's line path: the
+        scalar replay, page-walk entry reads and the batch engine's
+        miss-run kernel all send lines through here.  A miss fills every
+        level it missed (the hierarchy is inclusive); a dirty victim
+        lands dirty in the next level that still holds it, or goes to
+        memory.  Cycles are charged in the current mode as they accrue,
+        because the NVM write buffer reads the clock at each enqueue.
+        """
         line = paddr // CACHE_LINE
-        # Inlined L1 probe (the per-access common case; equivalent to
-        # Cache.lookup but without the call overhead).
-        cache_set = self._l1_sets[line % self._l1_nsets]
-        if line in cache_set:
-            cache_set[line] = cache_set.pop(line) or is_write
-            self._counters[self._l1_hit_key] += 1
-            self.advance(self._l1_hit_latency)
+        counters = self._counters
+        # Probe: the number of levels that miss, and the latency.
+        set1 = self._l1_sets[line % self._l1_nsets]
+        if line in set1:
+            set1[line] = set1.pop(line) or is_write
+            counters[self._l1_hit_key] += 1
+            cycles = self._l1_hit_latency
+            missed = 0
+        else:
+            counters[self._l1_miss_key] += 1
+            set2 = self._l2_sets[line % self._l2_nsets]
+            if line in set2:
+                set2[line] = set2.pop(line)
+                counters[self._l2_hit_key] += 1
+                cycles = self._l2_hit_latency
+                missed = 1
+            else:
+                counters[self._l2_miss_key] += 1
+                set3 = self._llc_sets[line % self._llc_nsets]
+                if line in set3:
+                    set3[line] = set3.pop(line)
+                    counters[self._llc_hit_key] += 1
+                    cycles = self._llc_hit_latency
+                    missed = 2
+                else:
+                    # Demand miss all the way to memory.
+                    counters[self._llc_miss_key] += 1
+                    for ext in self.extensions:
+                        ext.on_llc_miss(self, entry, line, is_write)
+                    is_nvm = self.layout.mem_type_of_addr(paddr) is MemType.NVM
+                    cycles = self._llc_hit_latency + self.controller.read(
+                        paddr, is_nvm, self.clock
+                    )
+                    if self._imon is not None:
+                        self._imon.note_device(paddr, is_nvm)
+                    missed = 3
+        # Charge before filling: victim writebacks read the clock.
+        if self._mode_stack:
+            self.advance(cycles)
+        else:
+            self.clock += cycles
+            counters["cycles.user"] += cycles
+        if not missed:
             return
-        self._counters[self._l1_miss_key] += 1
-        if self.l2.lookup(line, False):
-            self.advance(self._l2_hit_latency)
-            self._fill_l1(line, dirty=is_write)
-            return
-        if self.llc.lookup(line, False):
-            self.advance(self._llc_hit_latency)
-            self._fill_l2(line)
-            self._fill_l1(line, dirty=is_write)
-            return
-        # Demand miss all the way to memory.
-        if self.extensions:
-            for ext in self.extensions:
-                ext.on_llc_miss(self, entry, line, is_write)
-        is_nvm = self.layout.mem_type_of_addr(paddr) is MemType.NVM
-        latency = self.controller.read(paddr, is_nvm, self.clock)
-        if self._imon is not None:
-            self._imon.note_device(paddr, is_nvm)
-        self.advance(self._llc_hit_latency + latency)
-        self._fill_llc(line)
-        self._fill_l2(line)
-        self._fill_l1(line, dirty=is_write)
+        llc_sets = self._llc_sets
+        if missed > 1:
+            if missed == 3:
+                self._fill_llc(line)
+            # Fill L2; its victim leaves L1 too (inclusion).
+            if len(set2) >= self._l2_assoc:
+                victim = next(iter(set2))
+                victim_dirty = set2.pop(victim)
+                counters[self._l2_evictions_key] += 1
+                victim_dirty = (
+                    self._l1_sets[victim % self._l1_nsets].pop(victim, False)
+                    or victim_dirty
+                )
+                if victim_dirty:
+                    victim_set = llc_sets[victim % self._llc_nsets]
+                    if victim in victim_set:
+                        victim_set[victim] = True
+                    else:
+                        self._writeback(victim)
+            set2[line] = False
+        # Fill L1; a dirty victim lands in L2, else the LLC, else memory
+        # (inclusion can be broken below by page-teardown invalidations).
+        if len(set1) >= self._l1_assoc:
+            victim = next(iter(set1))
+            victim_dirty = set1.pop(victim)
+            counters[self._l1_evictions_key] += 1
+            if victim_dirty:
+                victim_set = self._l2_sets[victim % self._l2_nsets]
+                if victim not in victim_set:
+                    victim_set = llc_sets[victim % self._llc_nsets]
+                if victim in victim_set:
+                    victim_set[victim] = True
+                else:
+                    self._writeback(victim)
+        set1[line] = is_write
 
     def _writeback(self, line: int, _kind: str = "wb") -> None:
         """Send a dirty victim line to memory."""
@@ -295,90 +369,23 @@ class Machine:
         self.advance(latency)
         self._counters["cache.writebacks"] += 1
 
-    def _fill_l1(self, line: int, dirty: bool) -> None:
-        victim = self.l1.fill(line, dirty)
-        if victim is not None:
-            victim_line, victim_dirty = victim
-            if victim_dirty and not self.l2.set_dirty(victim_line):
-                # Inclusion was broken by an invalidation below; push
-                # the writeback further down.
-                if not self.llc.set_dirty(victim_line):
-                    self._writeback(victim_line)
-
-    def _fill_l2(self, line: int) -> None:
-        victim = self.l2.fill(line, False)
-        if victim is not None:
-            victim_line, victim_dirty = victim
-            victim_dirty = self.l1.invalidate(victim_line) or victim_dirty
-            if victim_dirty and not self.llc.set_dirty(victim_line):
-                self._writeback(victim_line)
-
     def _fill_llc(self, line: int) -> None:
-        victim = self.llc.fill(line, False)
+        """Install an absent ``line`` in the LLC.  Its victim leaves L1
+        and L2 too (inclusion) and is written back if dirty anywhere."""
+        cache_set = self._llc_sets[line % self._llc_nsets]
+        victim = None
+        if len(cache_set) >= self._llc_assoc:
+            victim = next(iter(cache_set))
+            victim_dirty = cache_set.pop(victim)
+            self._counters[self._llc_evictions_key] += 1
+        cache_set[line] = False
         if victim is not None:
-            victim_line, victim_dirty = victim
-            victim_dirty = self.l1.invalidate(victim_line) or victim_dirty
-            victim_dirty = self.l2.invalidate(victim_line) or victim_dirty
+            victim_dirty = self.l1.invalidate(victim) or victim_dirty
+            victim_dirty = self.l2.invalidate(victim) or victim_dirty
             if victim_dirty:
-                self._writeback(victim_line)
-            if self._imon is not None:
-                self._imon.note_llc_fill(line, victim_line)
-        elif self._imon is not None:
-            self._imon.note_llc_fill(line, None)
-
-    def miss_run_view(self) -> dict:
-        """Stable structure references for the batch miss-run kernel.
-
-        The kernel (repro.replay.batch) executes LLC/row-buffer/
-        controller behaviour inline, so it needs direct handles on the
-        live hardware structures.  Every container returned here is
-        mutated *in place* by its owner — power cycles clear, never
-        replace — so the replayer may cache this view for the machine's
-        lifetime.  Per-run scalars (clock, asid, walker, the write
-        buffer's drain horizon, the TLB micro-cache) are re-read at
-        each run start through the object references included.
-        """
-        l1_sets, l1_nsets, l1_assoc = self.l1.run_view()
-        l2_sets, l2_nsets, l2_assoc = self.l2.run_view()
-        llc_sets, llc_nsets, llc_assoc = self.llc.run_view()
-        controller = self.controller
-        page_writes, page_row_misses, page_shift = controller.run_view()
-        return {
-            "tlb": self.tlb,
-            "tlb_entries": self.tlb._entries,  # noqa: SLF001 - hot path
-            "tlb_capacity": self.tlb.config.entries,
-            "l1": self.l1,
-            "l2": self.l2,
-            "llc": self.llc,
-            "l1_sets": l1_sets,
-            "l1_nsets": l1_nsets,
-            "l1_assoc": l1_assoc,
-            "l2_sets": l2_sets,
-            "l2_nsets": l2_nsets,
-            "l2_assoc": l2_assoc,
-            "llc_sets": llc_sets,
-            "llc_nsets": llc_nsets,
-            "llc_assoc": llc_assoc,
-            "op_base_cycles": self._op_base_cycles,
-            "l1_hit_latency": self._l1_hit_latency,
-            "l2_hit_latency": self._l2_hit_latency,
-            "llc_hit_latency": self._llc_hit_latency,
-            "controller": controller,
-            "dram_channel": controller.dram,
-            "nvm_channel": controller.nvm,
-            "dram_view": controller.dram.run_view(),
-            "nvm_view": controller.nvm.run_view(),
-            "write_buffer": controller.nvm_write_buffer,
-            "buffer_view": controller.nvm_write_buffer.run_view(),
-            "page_writes": page_writes,
-            "page_row_misses": page_row_misses,
-            "page_shift": page_shift,
-            "dram_base": self.layout.dram_base,
-            "nvm_base": self.layout.nvm_base,
-            "mem_end": self.layout.end,
-            "counters": self._counters,
-            "timer_heap": self._timer_heap,
-        }
+                self._writeback(victim)
+        if self._imon is not None:
+            self._imon.note_llc_fill(line, victim)
 
     def prefetch_line(self, paddr: int) -> bool:
         """Install a line in the LLC off the critical path.

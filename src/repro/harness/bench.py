@@ -41,7 +41,7 @@ Output schema (``BENCH_machine.json``)
     traffic`` — population config, interference attribution, op split,
     ``stats_sha256`` and determinism verdict for a fleet run; v5: the
     batch engine gained the vectorized miss-run kernel, so ``batch``
-    rates on miss-heavy scenarios measure the inlined LLC/row-buffer/
+    rates on miss-heavy scenarios measure the LLC/row-buffer/
     controller path and the batched op fraction covers TLB-thrashing
     premapped traces; v6 added the ``plan`` section written by
     ``python -m repro.harness plan``).

@@ -87,55 +87,6 @@ class MemoryChannel:
         self._open_rows.clear()
         self.last_row_hit = False
 
-    # -- batched miss-run API (repro.replay.batch) ---------------------
-
-    def run_view(self):
-        """Row-buffer state + timing snapshot for a batched miss run.
-
-        Returns ``(open_rows, row_size, banks, read_hit, read_miss,
-        write_hit, write_miss)``.  ``open_rows`` is the *live* per-bank
-        dict: the kernel mutates it in step with the accesses it
-        executes, exactly as the scalar path would, and
-        :meth:`reset_rows` clears it in place — so a power cycle
-        arriving mid-run (from a timer callback) acts on the same
-        object the kernel holds.
-        """
-        return (
-            self._open_rows,
-            self._row_size,
-            self.banks,
-            self._read_hit,
-            self._read_miss,
-            self._write_hit,
-            self._write_miss,
-        )
-
-    def read_run(self, hits: int, misses: int) -> None:
-        """Commit a batched run's demand-read row outcomes in bulk.
-
-        Each counter add is guarded: a zero-valued add would *create*
-        keys a scalar replay of the same trace never touches, breaking
-        the byte-identical stats dump the batch engine is gated on.
-        """
-        if hits:
-            self._counters[self._read_row_hit_key] += hits
-        if misses:
-            self._counters[self._read_row_miss_key] += misses
-
-    def write_run(self, hits: int, misses: int) -> None:
-        """Commit a batched run's write row outcomes in bulk (guarded
-        like :meth:`read_run`)."""
-        if hits:
-            self._counters[self._write_row_hit_key] += hits
-        if misses:
-            self._counters[self._write_row_miss_key] += misses
-
-    def end_run(self, last_row_hit: bool) -> None:
-        """Record the row-buffer outcome of a run's final access on
-        this channel (what ``last_row_hit`` would read after the scalar
-        replay of the same ops)."""
-        self.last_row_hit = last_row_hit
-
 
 class NvmWriteBuffer:
     """The NVM controller's write buffer (48 entries, Table I).
@@ -197,37 +148,6 @@ class NvmWriteBuffer:
     @property
     def occupancy(self) -> int:
         return len(self._drains)
-
-    # -- batched miss-run API (repro.replay.batch) ---------------------
-
-    def run_view(self):
-        """Occupancy-horizon state for a batched miss run.
-
-        Returns ``(drains, capacity, insert_cycles)``.  ``drains`` is
-        the *live* completion-time deque: the kernel reaps and appends
-        it per buffered write exactly as :meth:`enqueue` would, so a
-        :meth:`reset` from a mid-run timer callback clears the same
-        object.  The drain horizon (``_last_drain_end``) is
-        deliberately *not* part of the view — it is a scalar the kernel
-        must re-read at every run start and commit back via
-        :meth:`commit_run`.
-        """
-        return self._drains, self.capacity, self._insert_cycles
-
-    def commit_run(
-        self, last_drain_end: int, buffered: int, full_stalls: int
-    ) -> None:
-        """Commit a batched run's write-buffer activity.
-
-        ``last_drain_end`` is the kernel's final drain horizon; the
-        counter adds are guarded so zero-valued keys are never created
-        (byte-identical dumps vs scalar).
-        """
-        self._last_drain_end = last_drain_end
-        if buffered:
-            self._counters["nvm.buffered_writes"] += buffered
-        if full_stalls:
-            self._counters["nvm.write_buffer_full"] += full_stalls
 
     def reset(self) -> None:
         """Power cycle: in-flight contents are gone (hence they must be
@@ -298,30 +218,6 @@ class HybridMemoryController:
         # DRAM writes are posted: the write queue in a DDR4 controller
         # absorbs them; charge the row activity cost only.
         return self.dram.write_latency(addr)
-
-    # -- batched miss-run API (repro.replay.batch) ---------------------
-
-    def run_view(self):
-        """Routing state for a batched miss run: the wear/locality page
-        maps (live dicts, mutated per access like the scalar path) and
-        the page shift they are keyed by."""
-        return self.nvm_page_writes, self.nvm_page_row_misses, self._page_shift
-
-    def read_run(self, nvm_reads: int, dram_reads: int) -> None:
-        """Commit a batched run's demand-read routing counts in bulk
-        (guarded: zero adds must not create counter keys)."""
-        if nvm_reads:
-            self._counters["nvm.reads"] += nvm_reads
-        if dram_reads:
-            self._counters["dram.reads"] += dram_reads
-
-    def write_run(self, nvm_writes: int, dram_writes: int) -> None:
-        """Commit a batched run's write routing counts in bulk (guarded
-        like :meth:`read_run`)."""
-        if nvm_writes:
-            self._counters["nvm.writes"] += nvm_writes
-        if dram_writes:
-            self._counters["dram.writes"] += dram_writes
 
     def persist_barrier(self, now: int) -> int:
         """Stall until all buffered NVM writes are durable."""

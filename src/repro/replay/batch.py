@@ -28,50 +28,43 @@ Equivalence argument — miss runs
 Ops that miss the L1 change structure membership (fills, victim
 evictions, open-row switches, write-buffer drains), so a precomputed
 mask cannot stay valid across them.  The miss-run kernel
-(:meth:`BatchReplayer._miss_run`) instead *interprets* the scalar
-sequence op by op against the live hardware structures — the same set
-dicts, open-row dicts and drain deque the scalar path mutates, obtained
-once through :meth:`Machine.miss_run_view` — while deferring everything
-that is only *observable at run end* to a single commit:
+(:meth:`BatchReplayer._miss_run`) therefore runs them on the same line
+path as scalar replay: every data line and every page-table-entry read
+goes through :meth:`Machine.phys_line_access`, which fills, evicts,
+writes back, reads the clock at each write-buffer enqueue and charges
+cycles exactly as it does for :meth:`Machine.access`.  Only what is
+batch-specific stays in the kernel:
 
-* stat counters accumulate in locals and land as guarded bulk adds
-  (``Cache.commit_run``, ``MemoryChannel.read_run``/``write_run``,
-  ``HybridMemoryController.read_run``/``write_run``,
-  ``NvmWriteBuffer.commit_run``); guarded, because a zero-valued add
-  would create counter keys the scalar replay never creates;
-* the clock advances once (``machine.clock = base + cycles``); every
-  point where the scalar path *reads* the clock mid-op (the write
-  buffer's ``enqueue(now)``) receives ``base + cycles`` at exactly the
-  scalar read point;
-* TLB insertions from inline page walks are staged in a ``pending``
-  dict that participates in LRU/eviction decisions (combined order =
-  untouched entries, then pending, exactly the scalar dict order) and
-  are materialized into real :class:`TlbEntry` objects at commit — so a
-  thrashing run only constructs the entries that survive it;
-* the TLB micro-cache and each channel's ``last_row_hit`` are restored
-  at commit to what the scalar sequence would have left behind.
+* the op loop itself, charging each op's ``op_base`` cycles before its
+  lines, in the scalar order;
+* TLB staging: hits and walk fills are kept in a ``pending`` dict that
+  takes part in LRU/eviction decisions (combined order = untouched
+  entries, then pending, exactly the scalar dict order) and are
+  materialized into real :class:`TlbEntry` objects at commit, together
+  with the ``tlb.*``, ``walk.completed`` and ``ops.*`` counts — so a
+  thrashing run only constructs the entries that survive it.  Nothing
+  on the line path reads the TLB, so staging is invisible to it;
+* timer truncation (below).
 
 TLB misses walk inline.  The installed walker returns a pure *walk
 record* — the page-table entry addresses it reads plus the translation
 (see :data:`repro.arch.machine.Walker`) — so the kernel calls it once
 per miss and decides before charging anything: a faulting or
 write-protected translation breaks to scalar with the op untouched, so
-the scalar retry never sees a half-executed op.  A clean record's entry
-reads then run through the same line interpreter as the data line
-(``_line``, the inline :meth:`Machine.phys_line_access`), with every
-counter, cycle and write-buffer enqueue deferred exactly like data
-traffic, in the scalar order: ``op_base``, the entry reads, the TLB
-fill, the data line.
+the scalar retry never sees a half-executed op.  A clean record is
+charged in the scalar order: ``op_base``, the entry reads, the TLB
+fill, the data line.  A line outside physical memory raises
+:class:`~repro.common.errors.FaultError` from the line path at the
+same point as in scalar replay; the kernel commits its staging and
+lets the error propagate, so the op is charged once.
 
 Timers are the coupling to the clock: the scalar loop fires due timers
 after every op, so both kinds of run are truncated at the op whose
-batched clock advance first reaches the earliest armed deadline.  All
-deferred state is committed *before* the callbacks fire — so a callback
-that resets row buffers, drains the write buffer (persist barrier),
-power-cycles the controller or switches contexts acts on fully
-synchronized structures, all of which are cleared in place — and the
-kernel returns afterwards, forcing a fresh probe before anything else
-commits (mid-run invalidation hazards cannot leak into a stale run).
+clock advance first reaches the earliest armed deadline.  The staged
+TLB state is committed *before* the callbacks fire — so a callback that
+flushes the TLB or switches contexts acts on synchronized structures —
+and the kernel returns afterwards, forcing a fresh probe before
+anything else commits.
 
 Everything else — faults, protection upgrades, multi-line and
 page-crossing ops, os-mode execution, attached extensions, installed
@@ -126,11 +119,6 @@ _LINE_SHIFT = np.uint64(CACHE_LINE.bit_length() - 1)
 _LINES_PER_PAGE = np.uint64(LINES_PER_PAGE)
 
 
-class _Unbacked(Exception):
-    """A line outside physical memory: the kernel stops the run and the
-    scalar path raises on the op."""
-
-
 #: A scalar trace operation, as built by the bench scenarios.
 Op = Tuple[int, int, bool]
 
@@ -162,9 +150,6 @@ class BatchReplayer:
         self._span = _MIN_SCALAR_SPAN
         # Miss-run kernel block size, adapted the same way.
         self._kernel_block = _MIN_KERNEL_BLOCK
-        # Cached miss_run_view tuple (stable for the machine lifetime;
-        # see Machine.miss_run_view for why caching is sound).
-        self._view: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # public API
@@ -372,76 +357,31 @@ class BatchReplayer:
     # miss-run kernel
     # ------------------------------------------------------------------
 
-    def _bind_view(self) -> tuple:
-        """Flatten :meth:`Machine.miss_run_view` into the positional
-        tuple the kernel unpacks (cached; every container is mutated in
-        place by its owner, never replaced)."""
-        view = self.machine.miss_run_view()
-        (
-            dram_rows, dram_row_size, dram_banks,
-            dram_read_hit, dram_read_miss, dram_write_hit, dram_write_miss,
-        ) = view["dram_view"]
-        (
-            nvm_rows, nvm_row_size, nvm_banks,
-            nvm_read_hit, nvm_read_miss, nvm_write_hit, nvm_write_miss,
-        ) = view["nvm_view"]
-        drains, wb_capacity, insert_cycles = view["buffer_view"]
-        op_base = view["op_base_cycles"]
-        self._view = (
-            view["tlb"], view["tlb_entries"], view["tlb_capacity"],
-            view["l1"], view["l2"], view["llc"],
-            view["l1_sets"], view["l1_nsets"], view["l1_assoc"],
-            view["l2_sets"], view["l2_nsets"], view["l2_assoc"],
-            view["llc_sets"], view["llc_nsets"], view["llc_assoc"],
-            view["l1_hit_latency"],
-            view["l2_hit_latency"],
-            view["llc_hit_latency"],
-            view["controller"], view["dram_channel"], view["nvm_channel"],
-            dram_rows, dram_row_size, dram_banks,
-            dram_read_hit, dram_read_miss, dram_write_hit, dram_write_miss,
-            nvm_rows, nvm_row_size, nvm_banks,
-            nvm_read_hit, nvm_read_miss, nvm_write_hit, nvm_write_miss,
-            view["write_buffer"], drains, wb_capacity, insert_cycles,
-            view["page_writes"], view["page_row_misses"], view["page_shift"],
-            view["dram_base"], view["nvm_base"], view["mem_end"],
-            view["counters"], view["timer_heap"], op_base,
-        )
-        return self._view
-
     def _miss_run(
         self,
         addrs: List[int],
         writes: List[bool],
         singles: List[bool],
     ) -> Tuple[int, bool]:
-        """Execute a run of ops through the inlined miss path.
+        """Execute a run of ops, each line through the machine's own
+        :meth:`Machine.phys_line_access`, with TLB activity staged.
 
         Consumes ops until a hazard (see the module docstring's
-        fallback taxonomy) or the earliest timer deadline; commits all
-        deferred state, then fires any due timers.  Returns
-        ``(ops consumed, timers fired)``.
+        fallback taxonomy) or the earliest timer deadline; commits the
+        staged TLB state, then fires any due timers.  Returns ``(ops
+        consumed, timers fired)``.  A
+        :class:`~repro.common.errors.FaultError` from the line path
+        propagates after the commit, leaving what the scalar path
+        leaves when it raises on the same op.
         """
         machine = self.machine
-        view = self._view
-        if view is None:
-            view = self._bind_view()
-        (
-            tlb, entries, tlb_capacity,
-            l1, l2, llc,
-            l1_sets, l1_nsets, l1_assoc,
-            l2_sets, l2_nsets, l2_assoc,
-            llc_sets, llc_nsets, llc_assoc,
-            l1_latency, l2_latency, llc_latency,
-            controller, dram_channel, nvm_channel,
-            dram_rows, dram_row_size, dram_banks,
-            dram_read_hit, dram_read_miss, dram_write_hit, dram_write_miss,
-            nvm_rows, nvm_row_size, nvm_banks,
-            nvm_read_hit, nvm_read_miss, nvm_write_hit, nvm_write_miss,
-            write_buffer, drains, wb_capacity, insert_cycles,
-            page_writes, page_row_misses, page_shift,
-            dram_base, nvm_base, mem_end,
-            counters, heap, op_base,
-        ) = view
+        tlb = machine.tlb
+        entries = tlb._entries  # noqa: SLF001 - hot path
+        tlb_capacity = tlb.config.entries
+        counters = machine._counters  # noqa: SLF001 - hot path
+        heap = machine._timer_heap  # noqa: SLF001 - hot path
+        op_base = machine._op_base_cycles  # noqa: SLF001 - hot path
+        line_access = machine.phys_line_access
         asid = machine.asid
         asid_base = machine._asid_base  # noqa: SLF001 - hot path
         imon = machine._imon  # noqa: SLF001 - hot path
@@ -456,11 +396,8 @@ class BatchReplayer:
         # be deferred tuples — only survivors get materialized.  With a
         # monitor, victims must be real entries at note_tlb_evict time.
         defer_entries = imon is None
-        clock_base = machine.clock
-        last_drain_end = write_buffer._last_drain_end  # noqa: SLF001
-        deadline = heap[0][0] - clock_base if heap else None
+        deadline = heap[0][0] if heap else None
 
-        cycles = 0
         consumed = 0
         last_key = 0
         #: Staged TLB activity: every op's key ends up here (moved real
@@ -469,214 +406,7 @@ class BatchReplayer:
         #: the scalar dict exactly; evictions pop the combined head.
         pending: dict = {}
         n_tlb_hit = n_tlb_miss = n_tlb_evict = n_walks = 0
-        n_l1_hit = n_l1_miss = n_l1_evict = 0
-        n_l2_hit = n_l2_miss = n_l2_evict = 0
-        n_llc_hit = n_llc_miss = n_llc_evict = 0
-        n_dram_reads = n_nvm_reads = 0
-        n_dram_writes = n_nvm_writes = 0
-        dram_r_hit = dram_r_miss = dram_w_hit = dram_w_miss = 0
-        nvm_r_hit = nvm_r_miss = nvm_w_hit = nvm_w_miss = 0
-        n_writebacks = n_buffered = n_full_stalls = 0
         n_write_ops = 0
-        #: Final row-buffer outcome per channel (None = untouched).
-        dram_last_hit: Optional[bool] = None
-        nvm_last_hit: Optional[bool] = None
-
-        def _writeback(victim_line: int) -> None:
-            """Dirty victim to memory — inline Machine._writeback."""
-            nonlocal cycles, n_writebacks, n_dram_writes, n_nvm_writes
-            nonlocal dram_w_hit, dram_w_miss, nvm_w_hit, nvm_w_miss
-            nonlocal dram_last_hit, nvm_last_hit
-            nonlocal last_drain_end, n_buffered, n_full_stalls
-            addr = victim_line * CACHE_LINE
-            if addr >= nvm_base:
-                n_nvm_writes += 1
-                page = addr >> page_shift
-                page_writes[page] = page_writes.get(page, 0) + 1
-                row = addr // nvm_row_size
-                bank = row % nvm_banks
-                hit = nvm_rows.get(bank) == row
-                nvm_rows[bank] = row
-                if hit:
-                    nvm_w_hit += 1
-                    latency = nvm_write_hit
-                else:
-                    nvm_w_miss += 1
-                    latency = nvm_write_miss
-                nvm_last_hit = hit
-                # Write-buffer enqueue at the scalar clock read point.
-                now = clock_base + cycles
-                while drains and drains[0] <= now:
-                    drains.popleft()
-                stall = 0
-                if len(drains) >= wb_capacity:
-                    stall = drains.popleft() - now
-                    n_full_stalls += 1
-                drain_start = now + stall
-                if last_drain_end > drain_start:
-                    drain_start = last_drain_end
-                last_drain_end = drain_start + latency
-                drains.append(last_drain_end)
-                n_buffered += 1
-                if imon is not None:
-                    nvm_channel.last_row_hit = hit
-                    imon.note_device(addr, True)
-                cycles += stall + insert_cycles
-            else:
-                n_dram_writes += 1
-                row = addr // dram_row_size
-                bank = row % dram_banks
-                hit = dram_rows.get(bank) == row
-                dram_rows[bank] = row
-                if hit:
-                    dram_w_hit += 1
-                    latency = dram_write_hit
-                else:
-                    dram_w_miss += 1
-                    latency = dram_write_miss
-                dram_last_hit = hit
-                if imon is not None:
-                    dram_channel.last_row_hit = hit
-                    imon.note_device(addr, False)
-                cycles += latency
-            n_writebacks += 1
-
-        def _line(line: int, w: bool) -> None:
-            """One line through the hierarchy — inline
-            Machine.phys_line_access, shared by data and walk reads."""
-            nonlocal cycles, n_l1_hit, n_l1_miss, n_l1_evict
-            nonlocal n_l2_hit, n_l2_miss, n_l2_evict
-            nonlocal n_llc_hit, n_llc_miss, n_llc_evict
-            nonlocal n_dram_reads, n_nvm_reads, dram_last_hit, nvm_last_hit
-            nonlocal dram_r_hit, dram_r_miss, nvm_r_hit, nvm_r_miss
-            set1 = l1_sets[line % l1_nsets]
-            if line in set1:
-                set1[line] = set1.pop(line) or w
-                n_l1_hit += 1
-                cycles += l1_latency
-                return
-            n_l1_miss += 1
-            set2 = l2_sets[line % l2_nsets]
-            if line in set2:
-                set2[line] = set2.pop(line)
-                n_l2_hit += 1
-                cycles += l2_latency
-            else:
-                n_l2_miss += 1
-                set3 = llc_sets[line % llc_nsets]
-                if line in set3:
-                    set3[line] = set3.pop(line)
-                    n_llc_hit += 1
-                    cycles += llc_latency
-                else:
-                    n_llc_miss += 1
-                    addr = line * CACHE_LINE
-                    if addr >= nvm_base:
-                        if addr >= mem_end:
-                            raise _Unbacked
-                        n_nvm_reads += 1
-                        row = addr // nvm_row_size
-                        bank = row % nvm_banks
-                        hit = nvm_rows.get(bank) == row
-                        nvm_rows[bank] = row
-                        if hit:
-                            nvm_r_hit += 1
-                            latency = nvm_read_hit
-                        else:
-                            nvm_r_miss += 1
-                            latency = nvm_read_miss
-                            page = addr >> page_shift
-                            page_row_misses[page] = (
-                                page_row_misses.get(page, 0) + 1
-                            )
-                        nvm_last_hit = hit
-                        if imon is not None:
-                            nvm_channel.last_row_hit = hit
-                            imon.note_device(addr, True)
-                    else:
-                        if addr < dram_base:
-                            raise _Unbacked
-                        n_dram_reads += 1
-                        row = addr // dram_row_size
-                        bank = row % dram_banks
-                        hit = dram_rows.get(bank) == row
-                        dram_rows[bank] = row
-                        if hit:
-                            dram_r_hit += 1
-                            latency = dram_read_hit
-                        else:
-                            dram_r_miss += 1
-                            latency = dram_read_miss
-                        dram_last_hit = hit
-                        if imon is not None:
-                            dram_channel.last_row_hit = hit
-                            imon.note_device(addr, False)
-                    cycles += llc_latency + latency
-                    # Fill LLC (inline Machine._fill_llc).
-                    if len(set3) >= llc_assoc:
-                        victim_line = next(iter(set3))
-                        victim_dirty = set3.pop(victim_line)
-                        n_llc_evict += 1
-                        set3[line] = False
-                        victim_dirty = (
-                            l1_sets[victim_line % l1_nsets].pop(
-                                victim_line, False
-                            )
-                            or victim_dirty
-                        )
-                        victim_dirty = (
-                            l2_sets[victim_line % l2_nsets].pop(
-                                victim_line, False
-                            )
-                            or victim_dirty
-                        )
-                        if victim_dirty:
-                            _writeback(victim_line)
-                        if imon is not None:
-                            imon.note_llc_fill(line, victim_line)
-                    else:
-                        set3[line] = False
-                        if imon is not None:
-                            imon.note_llc_fill(line, None)
-                # Fill L2 (inline Machine._fill_l2).
-                if len(set2) >= l2_assoc:
-                    victim_line = next(iter(set2))
-                    victim_dirty = set2.pop(victim_line)
-                    n_l2_evict += 1
-                    set2[line] = False
-                    victim_dirty = (
-                        l1_sets[victim_line % l1_nsets].pop(
-                            victim_line, False
-                        )
-                        or victim_dirty
-                    )
-                    if victim_dirty:
-                        vset = llc_sets[victim_line % llc_nsets]
-                        if victim_line in vset:
-                            vset[victim_line] = True
-                        else:
-                            _writeback(victim_line)
-                else:
-                    set2[line] = False
-            # Fill L1 (inline Machine._fill_l1).
-            if len(set1) >= l1_assoc:
-                victim_line = next(iter(set1))
-                victim_dirty = set1.pop(victim_line)
-                n_l1_evict += 1
-                set1[line] = w
-                if victim_dirty:
-                    vset = l2_sets[victim_line % l2_nsets]
-                    if victim_line in vset:
-                        vset[victim_line] = True
-                    else:
-                        vset = llc_sets[victim_line % llc_nsets]
-                        if victim_line in vset:
-                            vset[victim_line] = True
-                        else:
-                            _writeback(victim_line)
-            else:
-                set1[line] = w
-
         try:
             for vaddr, w, ok in zip(addrs, writes, singles):
                 if not ok:
@@ -693,7 +423,7 @@ class BatchReplayer:
                     # staged ones (the combined MRU end).
                     del entries[key]
                     pending[key] = entry
-                    cycles += op_base
+                    machine.clock += op_base
                 else:
                     staged = pending.get(key)
                     if staged is not None:
@@ -707,7 +437,7 @@ class BatchReplayer:
                                 break
                         n_tlb_hit += 1
                         pending[key] = pending.pop(key)
-                        cycles += op_base
+                        machine.clock += op_base
                     else:
                         if walker is None:
                             break
@@ -719,12 +449,12 @@ class BatchReplayer:
                             break
                         # Scalar order: op_base, the walk's entry reads,
                         # the TLB fill, then the data line.
-                        cycles += op_base
+                        machine.clock += op_base
+                        n_tlb_miss += 1
                         if pte_paddrs:
                             for paddr in pte_paddrs:
-                                _line(paddr // CACHE_LINE, False)
+                                line_access(paddr, False)
                             n_walks += 1
-                        n_tlb_miss += 1
                         if len(entries) + len(pending) >= tlb_capacity:
                             if entries:
                                 victim = entries.pop(next(iter(entries)))
@@ -739,64 +469,49 @@ class BatchReplayer:
                             pending[key] = TlbEntry(
                                 vpn, pfn, writable, asid=asid
                             )
-                _line(
-                    pfn * LINES_PER_PAGE + vaddr % PAGE_SIZE // CACHE_LINE, w
-                )
+                last_key = key
+                offset = vaddr % PAGE_SIZE
+                line_access(pfn * PAGE_SIZE + offset - offset % CACHE_LINE, w)
                 if w:
                     n_write_ops += 1
-                last_key = key
                 consumed += 1
-                if deadline is not None and cycles >= deadline:
+                if deadline is not None and machine.clock >= deadline:
                     break  # timer due: commit, then fire at the boundary
-        except _Unbacked:
-            pass  # the scalar path raises on this op
-
+        finally:
+            # Commit the staged TLB state before any callback runs (and
+            # before a FaultError from the line path propagates).
+            if pending:
+                if defer_entries:
+                    for staged_key, staged in pending.items():
+                        entries[staged_key] = (
+                            TlbEntry(staged[2], staged[0], staged[1], asid=asid)
+                            if type(staged) is tuple
+                            else staged
+                        )
+                else:
+                    entries.update(pending)
+                tlb.sync_mru(last_key)
+            # Guarded adds: a zero add would create a counter key the
+            # scalar replay of the same ops never creates.  Each op that
+            # put its op_base on the clock tallied one TLB hit or miss.
+            charged = n_tlb_hit + n_tlb_miss
+            if charged:
+                counters["cycles.user"] += op_base * charged
+            if n_tlb_hit:
+                counters["tlb.hit"] += n_tlb_hit
+            if n_tlb_miss:
+                counters["tlb.miss"] += n_tlb_miss
+            if n_tlb_evict:
+                counters["tlb.evictions"] += n_tlb_evict
+            if n_walks:
+                counters["walk.completed"] += n_walks
+            if n_write_ops:
+                counters["ops.writes"] += n_write_ops
+            if consumed - n_write_ops:
+                counters["ops.reads"] += consumed - n_write_ops
+            self.batched_ops += consumed
         if not consumed:
             return 0, False
-
-        # ---- commit: all deferred state lands before any callback ----
-        if defer_entries:
-            for staged_key, staged in pending.items():
-                entries[staged_key] = (
-                    TlbEntry(staged[2], staged[0], staged[1], asid=asid)
-                    if type(staged) is tuple
-                    else staged
-                )
-        else:
-            entries.update(pending)
-        tlb.sync_mru(last_key)
-        if n_tlb_hit:
-            counters["tlb.hit"] += n_tlb_hit
-        if n_tlb_miss:
-            counters["tlb.miss"] += n_tlb_miss
-        if n_tlb_evict:
-            counters["tlb.evictions"] += n_tlb_evict
-        if n_walks:
-            counters["walk.completed"] += n_walks
-        l1.commit_run(n_l1_hit, n_l1_miss, n_l1_evict)
-        l2.commit_run(n_l2_hit, n_l2_miss, n_l2_evict)
-        llc.commit_run(n_llc_hit, n_llc_miss, n_llc_evict)
-        if n_write_ops:
-            counters["ops.writes"] += n_write_ops
-        if consumed - n_write_ops:
-            counters["ops.reads"] += consumed - n_write_ops
-        if n_writebacks:
-            counters["cache.writebacks"] += n_writebacks
-        machine.clock = clock_base + cycles
-        counters["cycles.user"] += cycles
-        controller.read_run(n_nvm_reads, n_dram_reads)
-        controller.write_run(n_nvm_writes, n_dram_writes)
-        dram_channel.read_run(dram_r_hit, dram_r_miss)
-        dram_channel.write_run(dram_w_hit, dram_w_miss)
-        nvm_channel.read_run(nvm_r_hit, nvm_r_miss)
-        nvm_channel.write_run(nvm_w_hit, nvm_w_miss)
-        if dram_last_hit is not None:
-            dram_channel.end_run(dram_last_hit)
-        if nvm_last_hit is not None:
-            nvm_channel.end_run(nvm_last_hit)
-        if n_nvm_writes:
-            write_buffer.commit_run(last_drain_end, n_buffered, n_full_stalls)
-        self.batched_ops += consumed
         fired = 0
         if heap and heap[0][0] <= machine.clock:
             fired = machine.timers.fire_due(machine._read_clock)  # noqa: SLF001

@@ -27,10 +27,9 @@ def rules(findings):
 
 
 class TestRegistry:
-    def test_all_nine_checkers_registered(self):
+    def test_all_eight_checkers_registered(self):
         ids = {c.id for c in all_checkers()}
         assert ids == {
-            "clock-parity",
             "counter-parity",
             "determinism",
             "fallback-coverage",

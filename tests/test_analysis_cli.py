@@ -168,7 +168,6 @@ class TestCliSurface:
         assert main(["--list-checkers"]) == 0
         out = capsys.readouterr().out
         for checker_id in (
-            "clock-parity",
             "counter-parity",
             "determinism",
             "fallback-coverage",

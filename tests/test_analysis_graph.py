@@ -185,6 +185,10 @@ GRAPH_SOURCES = {
             l1 = machine.l1
             l1.commit_run(5)
             machine.stats.counters["cycles.user"] += 5
+
+        def hoisted(self):
+            access = self.machine.access
+            access(3)
     """,
 }
 
@@ -220,6 +224,14 @@ class TestGraph:
         # Replayer.kernel -> (alias chain) -> Cache.commit_run.
         assert "Cache:*.hit" in batch.counters
         assert "cycles.user" in batch.counters
+
+    def test_hoisted_bound_method_resolves(self, graph):
+        hoisted = graph.find_function("Replayer.hoisted")
+        targets = {
+            e.target for e in graph.edges(hoisted) if e.kind == "call"
+        }
+        assert targets == {"pkg.machine:Machine.access"}
+        assert "Cache:*.hit" in graph.transitive([hoisted]).counters
 
     def test_reachable_excludes_boundaries(self, graph):
         reach = graph.reachable([graph.find_function("Machine.access")])
@@ -273,24 +285,32 @@ class TestRealTreeGroundTruth:
             "walk.completed",
             "cache.writebacks",
             "nvm.reads",
+            "nvm.buffered_writes",
             "dram.writes",
             "Cache:*.hit",
+            "Cache:*.miss",
             "Cache:*.evictions",
             "MemoryChannel:*.read_row_hit",
+            "MemoryChannel:*.write_row_miss",
             "interference.llc.self",
         ):
             assert token in scalar.counters, token
             assert token in batch.counters, token
 
-    def test_scalar_only_tokens_are_os_time_and_aborts(self, graph):
-        """Os-mode time and aborted walks happen only where the kernel
-        falls back to scalar (os-mode, faulting walk records)."""
+    def test_kernel_reaches_the_one_line_path(self, graph):
+        """The kernel's hoisted ``line_access`` resolves to the machine's
+        line path, so the hierarchy's keys are reached from both roots."""
+        kernel = graph.find_function("BatchReplayer._miss_run")
+        line_path = graph.find_function("Machine.phys_line_access")
+        assert line_path in graph.reachable([kernel])
+        assert line_path in graph.reachable(resolve_roots(graph, SCALAR_ROOTS))
+
+    def test_scalar_only_token_is_aborted_walks(self, graph):
+        """Aborted walks happen only where the kernel falls back to
+        scalar (faulting walk records)."""
         scalar = graph.transitive(resolve_roots(graph, SCALAR_ROOTS))
         batch = graph.transitive(resolve_roots(graph, BATCH_ROOTS))
-        assert set(scalar.counters) - set(batch.counters) == {
-            "cycles.os.total",
-            "walk.aborted",
-        }
+        assert set(scalar.counters) - set(batch.counters) == {"walk.aborted"}
         assert set(batch.counters) - set(scalar.counters) == set()
 
     def test_scalar_boundaries_enumerated(self, graph):

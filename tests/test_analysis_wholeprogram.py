@@ -1,10 +1,10 @@
 """Mutation tests for the whole-program drift checkers.
 
 Each test takes the real source tree, applies one surgical mutation of
-the kind the checker exists to catch — deleting a stat-key aggregation
-from `Cache.commit_run`, sneaking an `advance()` into the commit path,
-making the interference monitor write foreign state, renaming the
-kernel's persist-hook guard — and asserts the checker fails loudly.
+the kind the checker exists to catch — deleting one of the miss-run
+kernel's TLB/walk/op tallies, inventing a batch-only key, making the
+interference monitor write foreign state, renaming the kernel's
+persist-hook guard — and asserts the checker fails loudly.
 The unmutated tree must pass every checker clean: that pair is the
 static analog of the golden-equivalence runtime suite.
 """
@@ -23,7 +23,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 WHOLE_PROGRAM_CHECKERS = (
     "counter-parity",
     "fallback-coverage",
-    "clock-parity",
     "observer-purity",
 )
 
@@ -77,32 +76,48 @@ class TestCleanTree:
 
 
 class TestCounterParityMutations:
-    """Deleting any single aggregation from Cache.commit_run fails."""
+    """The kernel shares the line path with scalar replay but tallies
+    TLB, walk and op counts itself; dropping any tally fails."""
 
-    @pytest.mark.parametrize("key_attr", ["_hit_key", "_miss_key", "_evictions_key"])
-    def test_dropping_commit_run_aggregation_fails(self, pristine_files, key_attr):
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "tlb.hit",
+            "tlb.miss",
+            "tlb.evictions",
+            "walk.completed",
+            "ops.reads",
+            "ops.writes",
+        ],
+    )
+    def test_dropped_tally_fails(self, pristine_files, key):
         pattern = re.compile(
-            rf"^(\s*)counters\[self\.{key_attr}\].*$", re.MULTILINE
+            rf'^(\s*)counters\["{re.escape(key)}"\] \+= .*$', re.MULTILINE
         )
 
         def drop_line(text):
-            assert pattern.search(text), f"no {key_attr} bump in commit_run"
-            return pattern.sub(r"\1pass", text, count=1)
+            match = pattern.search(text, text.index("    def _miss_run("))
+            assert match, f"no {key} tally in the kernel"
+            return (
+                text[: match.start()]
+                + f"{match.group(1)}pass"
+                + text[match.end() :]
+            )
 
         ctx = mutated_context(
-            pristine_files, "src/repro/arch/cache.py", drop_line
+            pristine_files, "src/repro/replay/batch.py", drop_line
         )
         findings = run_checker("counter-parity", ctx)
         assert any(
             f.rule == "counter-parity.missing-aggregation"
-            and "Cache:*" in f.message
+            and repr(key) in f.message
             for f in findings
         ), [f.render() for f in findings]
 
     def test_batch_only_key_fails(self, pristine_files):
         def add_key(text):
             pattern = re.compile(
-                r'^(\s*)(counters\["cache\.writebacks"\] \+= .*)$',
+                r'^(\s*)(counters\["tlb\.miss"\] \+= .*)$',
                 re.MULTILINE,
             )
             assert pattern.search(text)
@@ -117,27 +132,6 @@ class TestCounterParityMutations:
         assert any(
             f.rule == "counter-parity.batch-only"
             and "batch.only_key" in f.message
-            for f in findings
-        ), [f.render() for f in findings]
-
-
-class TestClockParityMutations:
-    def test_advance_in_commit_helper_fails(self, pristine_files):
-        def inject(text):
-            return text.replace(
-                "        if hits:\n            counters[self._hit_key] += hits\n",
-                "        self.advance(hits)\n"
-                "        if hits:\n            counters[self._hit_key] += hits\n",
-                1,
-            )
-
-        ctx = mutated_context(
-            pristine_files, "src/repro/arch/cache.py", inject
-        )
-        findings = run_checker("clock-parity", ctx)
-        assert any(
-            f.rule == "clock-parity.advance-in-commit-path"
-            and f.path == "src/repro/arch/cache.py"
             for f in findings
         ), [f.render() for f in findings]
 
@@ -201,5 +195,5 @@ class TestActivationGate:
         half-blind parity verdicts."""
         subset = [f for f in pristine_files if f.module != "repro.replay.batch"]
         ctx = AnalysisContext(subset, REPO_ROOT)
-        for checker_id in ("counter-parity", "fallback-coverage", "clock-parity"):
+        for checker_id in ("counter-parity", "fallback-coverage"):
             assert run_checker(checker_id, ctx) == []

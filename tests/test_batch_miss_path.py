@@ -15,13 +15,19 @@ batched run.  These tests pin the two contracts that make that safe:
   scalar path.
 """
 
+import hashlib
+
+import pytest
+
 from repro.arch.machine import LINES_PER_PAGE, Machine
 from repro.common.config import (
     CacheConfig,
     HybridLayoutConfig,
     MachineConfig,
     TlbConfig,
+    small_machine_config,
 )
+from repro.common.errors import FaultError
 from repro.common.units import CACHE_LINE, KiB, MiB, PAGE_SIZE
 from repro.mem.hybrid import MemType
 from repro.replay import replay_batch
@@ -108,6 +114,76 @@ def _fingerprint(machine: Machine):
     return machine.stats.dump(), machine.clock, frames
 
 
+def _digest(machine: Machine) -> str:
+    """sha256 over :func:`_fingerprint`: dump, clock, frames by pfn."""
+    dump, clock, frames = _fingerprint(machine)
+    digest = hashlib.sha256(dump.encode())
+    digest.update(b"clock=%d\n" % clock)
+    for pfn in sorted(frames):
+        digest.update(b"pfn=%d\n" % pfn)
+        digest.update(frames[pfn])
+    return digest.hexdigest()
+
+
+#: Fingerprint digests recorded while the batch kernel still carried its
+#: own copy of the cache/memory line path.  Scalar and batch replay now
+#: share one line path, so batch-vs-scalar equality alone no longer
+#: checks the hierarchy against an independent implementation; both
+#: runs of every trace below must also reproduce these digests.
+PINNED_DIGESTS = {
+    "fallback.extra_walker_calls": (
+        "f0ca548aa3aa955fbcb6daed9f0d82416e78422bb0c6ab4f3561d161cb698b46"
+    ),
+    "fallback.multiline": (
+        "04daa5d58bd5b34299b1d84610c32dd6bda27272023e434817070e473f212a9f"
+    ),
+    "fallback.persist_hook": (
+        "0412cf1ab8d4ef505bfda5f525d0e1a7feb97288b79e25298ac446af1cf960d8"
+    ),
+    "fallback.protection_upgrade": (
+        "c628fbc0f787e6d0a61c5ffe9136cd955ffb8969e5823b483757090dd35dc022"
+    ),
+    "hazard.controller_power_cycle": (
+        "1a5bfe50c2c024866f306f5ca472afbf13b38ce4b155d132f0c4202ede739be6"
+    ),
+    "hazard.persist_barrier": (
+        "e2aeae966dba408ba2b5e4af26853085007af741ef88ee705e85d23dced612b0"
+    ),
+    "hazard.power_fail": (
+        "74c967a3ee3d18d84d3e3c047a218f94e62af84c2c4f9ff1aeddb3f506352fd9"
+    ),
+    "hazard.row_reset": (
+        "aca6a59b61dbd79430897e8ee1f3b290f63ec5ecbfeec1e4debd8a1a494982d9"
+    ),
+    "miss.dram_nvm_interleaved": (
+        "29ff4ce266998cb86fd7e86ce4f3f4b3640f6d9c92e66ff419a97b607113da8a"
+    ),
+    "miss.thrash_nvm": (
+        "a7e88f42bacda1c2824a1bddf1cbaa2db4883fbba93e411ac91de9adc82cd063"
+    ),
+    "miss.write_buffer_pressure": (
+        "2ef8c42471c378d0bc09469466596265f3da2d53d568b5cf092d86cf3c814b81"
+    ),
+    "walks.charged": (
+        "acbee89ee6a16a8bd7e1aebfd1748a43e4b7ca94686fb318462c1fe5d21d4a58"
+    ),
+    "walks.holes": (
+        "a0ed3233f9ade56a8292113f748476fd254f2541ef50bd8d173406a1140b4466"
+    ),
+    "walks.read_only": (
+        "b197c641983fdc6297441f8d474d3b489a6dab39e28ebd8281a0b34269fbbdb6"
+    ),
+    "walks.timer_deadlines": (
+        "d38c61b5c91f3f01ec3333afb5dca00ff0b8c13c58d1368712a97bb62bf781f4"
+    ),
+}
+
+
+def _assert_pinned(name: str, *machines: Machine) -> None:
+    for machine in machines:
+        assert _digest(machine) == PINNED_DIGESTS[name], name
+
+
 def _run_pair(build, trace):
     """Replay ``trace`` scalar and batched on fresh ``build()`` machines;
     returns ``(scalar_machine, batch_machine, replayer)``."""
@@ -129,20 +205,21 @@ class TestMissKernelEngages:
             lambda: _premapped(512, nvm=True)[0], trace
         )
         assert _fingerprint(batch) == _fingerprint(scalar)
+        _assert_pinned("miss.thrash_nvm", scalar, batch)
         assert replayer.batched_ops > 3600  # >90% through the kernel
         assert batch.stats["tlb.miss"] > 3600  # genuinely TLB-thrashing
         assert batch.stats["nvm.reads"] > 0
         assert batch.stats["cache.writebacks"] > 0
 
     def test_write_buffer_pressure(self):
-        """All-write NVM thrash fills the 48-entry write buffer; the
-        kernel's inline enqueue must reproduce stalls and the drain
-        horizon exactly."""
+        """All-write NVM thrash fills the 48-entry write buffer; batched
+        enqueues must reproduce stalls and the drain horizon exactly."""
         trace = _thrash_trace(4000, npages=512, write_every=1)
         scalar, batch, replayer = _run_pair(
             lambda: _premapped(512, nvm=True)[0], trace
         )
         assert _fingerprint(batch) == _fingerprint(scalar)
+        _assert_pinned("miss.write_buffer_pressure", scalar, batch)
         assert replayer.batched_ops > 0
         assert scalar.stats["nvm.buffered_writes"] > 0
 
@@ -169,6 +246,7 @@ class TestMissKernelEngages:
         trace = _thrash_trace(4000, npages=machine_pages)
         scalar, batch, replayer = _run_pair(build, trace)
         assert _fingerprint(batch) == _fingerprint(scalar)
+        _assert_pinned("miss.dram_nvm_interleaved", scalar, batch)
         assert replayer.batched_ops > 0
         assert batch.stats["dram.reads"] > 0
         assert batch.stats["nvm.reads"] > 0
@@ -177,12 +255,12 @@ class TestMissKernelEngages:
 class TestMidRunInvalidation:
     """Timer callbacks that clobber structures the kernel is holding.
 
-    All deferred kernel state must be committed before the callback
+    The kernel's staged TLB state must be committed before the callback
     runs, and the kernel must re-probe afterwards — a stale cached run
     would diverge from scalar immediately (open rows, drain horizon and
     TLB contents all change under it)."""
 
-    def _hazard_pair(self, make_hazard, trace, npages=512, nvm=True):
+    def _hazard_pair(self, name, make_hazard, trace, npages=512, nvm=True):
         fires = []
 
         def run(batch):
@@ -213,6 +291,7 @@ class TestMidRunInvalidation:
         assert fires[0] == fires[1] > 0  # hazard really fired, mid-run
         assert replayer.batched_ops > 0  # and the kernel really engaged
         assert _fingerprint(batch_machine) == _fingerprint(scalar_machine)
+        _assert_pinned(name, scalar_machine, batch_machine)
         return batch_machine, replayer
 
     def test_row_reset_mid_run(self):
@@ -220,6 +299,7 @@ class TestMidRunInvalidation:
         had open: subsequent accesses must pay row misses again."""
         trace = _thrash_trace(6000, npages=512)
         self._hazard_pair(
+            "hazard.row_reset",
             lambda machine, _reinstall: (
                 lambda: (
                     machine.controller.dram.reset_rows(),
@@ -235,6 +315,7 @@ class TestMidRunInvalidation:
         tracks as a local."""
         trace = _thrash_trace(6000, npages=512, write_every=1)
         batch_machine, _ = self._hazard_pair(
+            "hazard.controller_power_cycle",
             lambda machine, _reinstall: machine.controller.power_cycle,
             trace,
         )
@@ -245,6 +326,7 @@ class TestMidRunInvalidation:
         drain horizon committed by the kernel feeds the stall length."""
         trace = _thrash_trace(6000, npages=512, write_every=1)
         batch_machine, _ = self._hazard_pair(
+            "hazard.persist_barrier",
             lambda machine, _reinstall: machine.persist_barrier,
             trace,
         )
@@ -266,7 +348,9 @@ class TestMidRunInvalidation:
             return hazard
 
         trace = _thrash_trace(6000, npages=512)
-        batch_machine, _ = self._hazard_pair(make_hazard, trace)
+        batch_machine, _ = self._hazard_pair(
+            "hazard.power_fail", make_hazard, trace
+        )
         assert batch_machine.stats["power.failures"] > 0
 
 
@@ -306,6 +390,9 @@ class TestFallbackDiscipline:
         assert calls[1] > calls[0] == scalar_machine.stats["walk.completed"]
         assert batch_machine.stats["walk.completed"] == calls[0]
         assert _fingerprint(batch_machine) == _fingerprint(scalar_machine)
+        _assert_pinned(
+            "fallback.extra_walker_calls", scalar_machine, batch_machine
+        )
 
     def test_persist_hook_forces_scalar(self):
         """An installed persist hook must see every durable-write event
@@ -322,6 +409,7 @@ class TestFallbackDiscipline:
 
         scalar, batch, replayer = _run_pair(build, trace)
         assert _fingerprint(batch) == _fingerprint(scalar)
+        _assert_pinned("fallback.persist_hook", scalar, batch)
         assert replayer.batched_ops == 0
         half = len(events) // 2
         assert half > 0 and events[:half] == events[half:]  # same stream
@@ -336,6 +424,7 @@ class TestFallbackDiscipline:
             trace,
         )
         assert _fingerprint(batch) == _fingerprint(scalar)
+        _assert_pinned("fallback.protection_upgrade", scalar, batch)
         assert replayer.batched_ops > 0
         assert replayer.scalar_ops > 0
 
@@ -355,8 +444,48 @@ class TestFallbackDiscipline:
             lambda: _premapped(512, nvm=True)[0], trace
         )
         assert _fingerprint(batch) == _fingerprint(scalar)
+        _assert_pinned("fallback.multiline", scalar, batch)
         assert replayer.batched_ops > 0
         assert replayer.scalar_ops >= 2000 // 50
+
+
+class TestOutOfRangeLine:
+    def test_unbacked_line_charges_failing_op_once(self):
+        """A translation to a frame past the end of physical memory
+        faults on the data line, after the op's base cycles, its TLB
+        fill and its cache misses were charged.  A batch run must leave
+        exactly what the scalar path leaves and raise the same error —
+        not commit the partial op and let a scalar retry charge it
+        again."""
+
+        def build():
+            machine = Machine(small_machine_config())
+            dram_base, _ = machine.layout.pfn_range(MemType.DRAM)
+            beyond = machine.layout.end // PAGE_SIZE
+
+            def walker(vpn):
+                return ((), beyond if vpn == 5 else dram_base + vpn, True)
+
+            machine.install_context(1, walker, None)
+            return machine
+
+        trace = [
+            (vpn * PAGE_SIZE, 8, vpn == 1) for vpn in (0, 1, 2, 0, 1, 2, 3, 5)
+        ]
+        runs = []
+        for batch in (False, True):
+            machine = build()
+            with pytest.raises(FaultError) as raised:
+                if batch:
+                    replay_batch(machine, trace)
+                else:
+                    for vaddr, size, is_write in trace:
+                        machine.access(vaddr, size, is_write)
+            runs.append((_fingerprint(machine), str(raised.value)))
+        assert runs[1] == runs[0]
+        (dump, _clock, _frames), message = runs[0]
+        assert "outside memory map" in message
+        assert "llc.miss 5" in dump and "ops.reads 5" in dump
 
 
 class TestInlineImpureWalks:
@@ -367,7 +496,7 @@ class TestInlineImpureWalks:
     potentially evicting dirty victims into the NVM write buffer).  The
     kernel reads the record before charging anything, bails to scalar
     on a fault or write-protection denial, and otherwise runs the entry
-    reads through its own line interpreter with deferred counters.
+    reads through the machine's line path like the data line.
     Byte identity and equal charged-walk counts pin all of that down."""
 
     def _charged_space(self, npages, read_only_every=0, holes_every=0):
@@ -415,7 +544,7 @@ class TestInlineImpureWalks:
     def _charged_walks(machine):
         return machine.stats["walk.completed"] + machine.stats["walk.aborted"]
 
-    def _charged_pair(self, trace, **space_kwargs):
+    def _charged_pair(self, name, trace, **space_kwargs):
         counts = []
 
         def run(batch):
@@ -433,19 +562,20 @@ class TestInlineImpureWalks:
         batch_machine, replayer = run(batch=True)
         assert counts[0] == counts[1] > 0  # every walk charged exactly once
         assert _fingerprint(batch_machine) == _fingerprint(scalar_machine)
+        _assert_pinned(name, scalar_machine, batch_machine)
         return replayer
 
     def test_charged_walker_runs_inline(self):
         """TLB-thrashing trace: nearly every op needs a charged walk,
         and the kernel keeps the run going through all of them."""
         trace = _thrash_trace(3000, npages=512)
-        replayer = self._charged_pair(trace)
+        replayer = self._charged_pair("walks.charged", trace)
         assert replayer.batched_ops > replayer.scalar_ops
 
-    def test_kernel_walks_never_call_phys_line_access(self):
-        """The kernel charges entry reads through its own interpreter:
-        a clean, all-walking trace runs entirely in the kernel without
-        one call to the scalar line path."""
+    def test_kernel_sends_every_line_through_phys_line_access(self):
+        """One line path: a clean, all-walking trace runs entirely in
+        the kernel, and each data line and each of the four entry reads
+        per walk is one call to the machine's own line path."""
         machine = self._charged_space(512)
         calls = []
         scalar_line = machine.phys_line_access
@@ -458,15 +588,16 @@ class TestInlineImpureWalks:
         trace = _thrash_trace(3000, npages=512)
         replayer = replay_batch(machine, trace)
         assert replayer.scalar_ops == 0
-        assert machine.stats["walk.completed"] == machine.stats["tlb.miss"] > 2900
-        assert calls == []
+        walks = machine.stats["walk.completed"]
+        assert walks == machine.stats["tlb.miss"] > 2900
+        assert len(calls) == len(trace) + 4 * walks
 
     def test_peek_fault_bails_before_walk(self):
         """Unmapped pages: the record's translation is None and the op
         breaks to scalar *before* its entry reads are charged, so
         demand faulting charges the same walks as pure scalar replay."""
         trace = _thrash_trace(3000, npages=512)
-        replayer = self._charged_pair(trace, holes_every=7)
+        replayer = self._charged_pair("walks.holes", trace, holes_every=7)
         assert replayer.batched_ops > 0
         assert replayer.scalar_ops > 0
 
@@ -474,7 +605,9 @@ class TestInlineImpureWalks:
         """Writes through read-only translations break before charging;
         the scalar retry pays the walk + upgrade fault exactly once."""
         trace = _thrash_trace(3000, npages=512, write_every=2)
-        replayer = self._charged_pair(trace, read_only_every=5)
+        replayer = self._charged_pair(
+            "walks.read_only", trace, read_only_every=5
+        )
         assert replayer.batched_ops > 0
         assert replayer.scalar_ops > 0
 
@@ -514,3 +647,4 @@ class TestInlineImpureWalks:
         assert scalar_calls == batch_calls
         assert replayer.batched_ops > 0
         assert _fingerprint(batch_machine) == _fingerprint(scalar_machine)
+        _assert_pinned("walks.timer_deadlines", scalar_machine, batch_machine)

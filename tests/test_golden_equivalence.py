@@ -8,6 +8,7 @@ without hardware extensions attached.
 """
 
 import dataclasses
+import hashlib
 
 from repro.arch.hooks import HardwareExtension
 from repro.arch.machine import Machine
@@ -112,6 +113,64 @@ def _fingerprint(machine: Machine):
     return machine.stats.dump(), machine.clock, frames
 
 
+def _digest(machine: Machine) -> str:
+    """sha256 over :func:`_fingerprint`: dump, clock, frames by pfn."""
+    dump, clock, frames = _fingerprint(machine)
+    digest = hashlib.sha256(dump.encode())
+    digest.update(b"clock=%d\n" % clock)
+    for pfn in sorted(frames):
+        digest.update(b"pfn=%d\n" % pfn)
+        digest.update(frames[pfn])
+    return digest.hexdigest()
+
+
+#: Fingerprint digests recorded while the batch kernel still carried its
+#: own copy of the cache/memory line path.  Scalar and batch replay now
+#: share one line path, so batch-vs-scalar equality alone no longer
+#: checks the hierarchy against an independent implementation; every
+#: run below must also reproduce these reference digests.
+PINNED_DIGESTS = {
+    "bench.fault_heavy": (
+        "23254182b212c040278eee861477ac65478d7d536124377e98eabaa422d0efa7"
+    ),
+    "bench.l1_extensions": (
+        "2600218598ea4eeb028ee5edad9143628a00db217344c92ca28df256e541e7cd"
+    ),
+    "bench.l1_resident": (
+        "2600218598ea4eeb028ee5edad9143628a00db217344c92ca28df256e541e7cd"
+    ),
+    "bench.l1_resident+timers": (
+        "656223bd52fa43eaa3e316793b48e22ba88130d74a278e8dd75a8754040af3e4"
+    ),
+    "bench.llc_resident": (
+        "866b632f7ef0661d0176a37ac045eeed965d9c778ae2397bc0cd385baf9fd5f7"
+    ),
+    "bench.nvm_miss_heavy": (
+        "974c903a1c89979a0a6d1da843037f7d95ead9085310c5d0ad22d4671cf3ded7"
+    ),
+    "bench.traffic": (
+        "a3df4798a2860cb4dd35d96fefd57c14c319c82d034baf4c9d3e54367e662337"
+    ),
+    "mixed": (
+        "e33fd22f0c861a4dad7caa51172fce1e9e995321dfdda85be60e552b721dac89"
+    ),
+    "mixed_extensions": (
+        "06db12d9c89467edd8b8f529352502ec45935cb764dc684026433ed5b3277591"
+    ),
+    "traffic.multiprocess": (
+        "926817cd3790ec0077681bddedb634dc5aad50c292b3852e1b6568af5477485e"
+    ),
+    "traffic.walk_heavy": (
+        "b48b60dcfd5a790f65c043ec0a623ac0c9e09f9c7acc00b46d96074ed21a8e4d"
+    ),
+}
+
+
+def _assert_pinned(name: str, *machines: Machine) -> None:
+    for machine in machines:
+        assert _digest(machine) == PINNED_DIGESTS[name], name
+
+
 def _equivalence_pair(extensions: bool):
     machines = []
     for fast in (True, False):
@@ -133,6 +192,7 @@ class TestGoldenEquivalence:
         assert fast_clock == slow_clock
         assert fast_frames == slow_frames
         assert fast.clock > 0 and fast.stats["ops.reads"] > 0
+        _assert_pinned("mixed", fast, slow)
 
     def test_identical_with_extensions(self):
         fast, slow = _equivalence_pair(extensions=True)
@@ -142,6 +202,7 @@ class TestGoldenEquivalence:
         assert fast_clock == slow_clock
         assert fast_frames == slow_frames
         assert fast.stats["ext.llc_misses"] > 0
+        _assert_pinned("mixed_extensions", fast, slow)
 
     def test_identical_with_disarmed_injector(self):
         """An attached-but-never-armed crash injector is a pure no-op:
@@ -165,6 +226,7 @@ class TestGoldenEquivalence:
         assert hooked_dump == plain_dump
         assert hooked_clock == plain_clock
         assert hooked_frames == plain_frames
+        _assert_pinned("mixed", plain, hooked)
 
     def test_batch_replay_identical_across_bench_scenarios(self):
         """Batch replay must be byte-identical to the scalar loop on
@@ -184,6 +246,7 @@ class TestGoldenEquivalence:
             assert _fingerprint(batch_machine) == _fingerprint(
                 scalar_machine
             ), name
+            _assert_pinned(f"bench.{name}", scalar_machine, batch_machine)
             if name == "l1_resident":
                 assert replayer.batched_ops > 0
             if name == "l1_extensions":
@@ -216,6 +279,9 @@ class TestGoldenEquivalence:
         assert replayer.batched_ops > 0
         assert scalar_machine.stats["test.ticks"] > 0
         assert _fingerprint(batch_machine) == _fingerprint(scalar_machine)
+        _assert_pinned(
+            "bench.l1_resident+timers", scalar_machine, batch_machine
+        )
 
     def test_batch_replay_identical_on_multiprocess_traffic(self):
         """Batch vs scalar equivalence must survive the full traffic
@@ -258,6 +324,9 @@ class TestGoldenEquivalence:
         batch_system, batch_result = run(batch=True)
         assert _fingerprint(batch_system.machine) == _fingerprint(
             scalar_system.machine
+        )
+        _assert_pinned(
+            "traffic.multiprocess", scalar_system.machine, batch_system.machine
         )
         assert batch_result.ops == scalar_result.ops == config.total_ops
         assert scalar_result.context_switches > 0
@@ -308,6 +377,9 @@ class TestGoldenEquivalence:
         stats = batch_system.stats
         assert _fingerprint(batch_system.machine) == _fingerprint(
             scalar_system.machine
+        )
+        _assert_pinned(
+            "traffic.walk_heavy", scalar_system.machine, batch_system.machine
         )
         assert dict(stats.with_prefix("interference.")) == dict(
             scalar_system.stats.with_prefix("interference.")

@@ -2,10 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.cache import Cache
-from repro.common.config import CacheConfig, HybridLayoutConfig
+from repro.arch.machine import Machine
+from repro.common.config import CacheConfig, HybridLayoutConfig, MachineConfig
 from repro.common.stats import Stats
-from repro.common.units import PAGE_SIZE
+from repro.common.units import CACHE_LINE, KiB, MiB, PAGE_SIZE
 from repro.gemos.frames import FrameAllocator
 from repro.gemos.pagetable import PageTable
 from repro.gemos.vma import MAP_NVM, PROT_READ, PROT_WRITE, AddressSpace
@@ -24,33 +24,59 @@ cache_ops = st.lists(
 )
 
 
+def _tiny_hierarchy() -> Machine:
+    """2-way caches of 16/32/64 lines: 256 lines thrash every level."""
+    return Machine(
+        MachineConfig(
+            l1=CacheConfig("L1", KiB, 2, 1),
+            l2=CacheConfig("L2", 2 * KiB, 2, 2),
+            llc=CacheConfig("LLC", 4 * KiB, 2, 3),
+            layout=HybridLayoutConfig(8 * MiB, 8 * MiB),
+        )
+    )
+
+
 class TestCacheProperties:
+    """Fill and victim invariants of the line path, at every level."""
+
     @given(ops=cache_ops)
     @settings(max_examples=60, deadline=None)
     def test_capacity_never_exceeded(self, ops):
-        cache = Cache(CacheConfig("T", 1024, 2, 1), Stats())
+        machine = _tiny_hierarchy()
         for line, is_write in ops:
-            if not cache.lookup(line, is_write):
-                cache.fill(line, dirty=is_write)
-        for cache_set in cache._sets:  # noqa: SLF001
-            assert len(cache_set) <= 2
+            machine.phys_line_access(line * CACHE_LINE, is_write)
+        for cache in (machine.l1, machine.l2, machine.llc):
+            for cache_set in cache._sets:  # noqa: SLF001
+                assert len(cache_set) <= cache.assoc
 
     @given(ops=cache_ops)
     @settings(max_examples=60, deadline=None)
     def test_fill_makes_line_resident(self, ops):
-        cache = Cache(CacheConfig("T", 1024, 2, 1), Stats())
+        machine = _tiny_hierarchy()
         for line, is_write in ops:
-            cache.fill(line, dirty=is_write)
-            assert cache.contains(line)
+            machine.phys_line_access(line * CACHE_LINE, is_write)
+            for cache in (machine.l1, machine.l2, machine.llc):
+                assert cache.contains(line)
 
     @given(ops=cache_ops)
     @settings(max_examples=60, deadline=None)
     def test_victims_are_distinct_from_filled_line(self, ops):
-        cache = Cache(CacheConfig("T", 1024, 2, 1), Stats())
+        """An access evicts at most one L1 line, never the one it
+        fills, and only when that line missed into a full set.  (Lines
+        may also leave the set as inclusion victims of L2/LLC fills.)"""
+        machine = _tiny_hierarchy()
+        l1 = machine.l1
         for line, is_write in ops:
-            victim = cache.fill(line, dirty=is_write)
-            if victim is not None:
-                assert victim[0] != line
+            cache_set = l1._sets[line % l1.num_sets]  # noqa: SLF001
+            before = set(cache_set)
+            evictions = machine.stats["l1.evictions"]
+            machine.phys_line_access(line * CACHE_LINE, is_write)
+            assert line in cache_set
+            evicted = machine.stats["l1.evictions"] - evictions
+            assert evicted in (0, 1)
+            if evicted:
+                assert line not in before and len(before) == l1.assoc
+                assert len(before - set(cache_set)) >= 1
 
 
 # ----------------------------------------------------------------------

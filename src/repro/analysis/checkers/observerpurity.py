@@ -10,6 +10,8 @@ their own bookkeeping, and they may bump counters in their own
 hardware state, move the clock, charge cycles, or write foreign stat
 keys, because the kernel calls `note_tlb_evict` while its TLB state is
 still staged, where any such mutation would diverge from scalar order.
+That hook receives only the victim's asid, so the kernel can keep its
+staged fills as tuples.
 
 Concretely, inside an observer class's hook closure this checker
 flags: `advance()` calls and clock writes; counter bumps whose key is

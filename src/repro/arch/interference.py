@@ -14,7 +14,8 @@ counters in the ordinary stats registry:
     ``interference.llc.p<evictor>_evicted_p<victim>``.
 ``interference.tlb.self`` / ``.cross`` / per-pair
     the same attribution for TLB capacity evictions (the victim's
-    owner is the entry's own asid — TLB entries are tagged).
+    owner is the entry's own asid — TLB entries are tagged — which is
+    all :meth:`~InterferenceMonitor.note_tlb_evict` receives).
 ``interference.row.{dram,nvm}.self`` / ``.cross`` / per-pair
     row-buffer switches blamed on the last process to use that bank:
     when a device access misses the open row, the previous bank user
@@ -30,7 +31,8 @@ miss paths — LLC victim fills, device accesses, TLB capacity evictions
 are TLB-resident L1 hits by construction).  The miss-run kernel *does*
 execute them: its lines go through the machine's own line path, which
 calls these hooks, and it notes its staged TLB evictions at the scalar
-points, so batch and scalar replays produce identical interference
+points with the victim's asid (a staged fill needs no real entry for
+that), so batch and scalar replays produce identical interference
 counters (the golden-equivalence suite compares them per pair key).
 
 Known approximation: LLC line ownership is recorded at fill time and
@@ -137,16 +139,15 @@ class InterferenceMonitor:
             pair_key = self._pair_key(kind, pid, previous)
             counters[pair_key] += 1
 
-    def note_tlb_evict(self, entry) -> None:
-        """A TLB capacity eviction displaced ``entry``."""
+    def note_tlb_evict(self, victim_asid: int) -> None:
+        """A TLB capacity eviction displaced an entry of ``victim_asid``."""
         pid = self.machine.asid
-        victim = entry.asid
         counters = self._counters
-        if victim == pid:
+        if victim_asid == pid:
             counters[self._tlb_self_key] += 1
         else:
             counters[self._tlb_cross_key] += 1
-            pair_key = self._pair_key("tlb", pid, victim)
+            pair_key = self._pair_key("tlb", pid, victim_asid)
             counters[pair_key] += 1
 
     def power_cycle(self) -> None:

@@ -243,7 +243,7 @@ class Machine:
 
     def _tlb_evict_hook(self, entry: TlbEntry) -> None:
         if self._imon is not None:
-            self._imon.note_tlb_evict(entry)
+            self._imon.note_tlb_evict(entry.asid)
         for ext in self.extensions:
             ext.on_tlb_evict(self, entry)
 

@@ -81,6 +81,10 @@ class PageTable:
         self._valid_leaves = 0
         #: Count of entry mutations since construction (scheme metrics).
         self.entry_writes = 0
+        #: vpn -> completed walk record.  Each mutation drops its vpn's
+        #: record, which is exact: a table is reclaimed only once no
+        #: leaf is left under it, so no other record can name it.
+        self._walks: Dict[int, WalkRecord] = {}
 
     # ------------------------------------------------------------------
     # software (kernel) operations
@@ -94,6 +98,7 @@ class PageTable:
     def map(self, vpn: int, pfn: int, writable: bool = True) -> int:
         """Install ``vpn -> pfn``; returns the number of entries written
         (1 for the leaf plus 1 per newly created intermediate table)."""
+        self._walks.pop(vpn, None)
         node = self.root
         writes = 0
         for level in range(LEVELS - 1, 0, -1):
@@ -121,6 +126,7 @@ class PageTable:
         sparse populations built by the stride experiment really do
         rebuild multiple levels on every churn round.
         """
+        self._walks.pop(vpn, None)
         path: List[Tuple[_Node, int]] = []
         node = self.root
         for level in range(LEVELS - 1, 0, -1):
@@ -161,6 +167,7 @@ class PageTable:
 
     def protect(self, vpn: int, writable: bool) -> bool:
         """Change a leaf's protection; returns False if unmapped."""
+        self._walks.pop(vpn, None)
         node = self.root
         for level in range(LEVELS - 1, 0, -1):
             child = node.entries.get(_index_at(vpn, level))
@@ -177,6 +184,7 @@ class PageTable:
 
     def update_pfn(self, vpn: int, pfn: int) -> bool:
         """Point an existing leaf at a new frame (HSCC migration)."""
+        self._walks.pop(vpn, None)
         node = self.root
         for level in range(LEVELS - 1, 0, -1):
             child = node.entries.get(_index_at(vpn, level))
@@ -232,6 +240,7 @@ class PageTable:
             self.allocator.free(node.frame)
 
         _free(self.root)
+        self._walks.clear()
         self.root = _Node.__new__(_Node)  # poison further use
         self._valid_leaves = 0
 
@@ -242,15 +251,20 @@ class PageTable:
     def hw_walk(self, vpn: int) -> WalkRecord:
         """The page-table walker, as data: ``(pte_paddrs, pfn, writable)``.
 
-        ``pte_paddrs`` lists the physical address of every entry the
-        hardware reads, root first, ending at the aborting entry when
-        the walk faults (``pfn`` is then ``None``).  The walk is pure —
-        no cycles, no stats, no mutation — so callers may run it as
-        often as they like; the machine charges the entry reads through
-        the cache hierarchy itself (:meth:`Machine.install_context`).
+        ``pte_paddrs`` is a tuple of the physical address of every entry
+        the hardware reads, root first, ending at the aborting entry
+        when the walk faults (``pfn`` is then ``None``).  The walk is
+        pure — no cycles, no stats, no simulated mutation — so callers
+        may run it as often as they like; the machine charges the entry
+        reads through the cache hierarchy itself
+        (:meth:`Machine.install_context`).  Completed records are
+        memoized until a mutation of their vpn.
         """
+        record = self._walks.get(vpn)
+        if record is not None:
+            return record
         # _index_at and _Node.entry_paddr inlined: this runs once per
-        # TLB miss.
+        # memo miss.
         pte_paddrs: List[int] = []
         entry = self.root
         for shift in _WALK_SHIFTS:
@@ -258,8 +272,10 @@ class PageTable:
             pte_paddrs.append((entry.frame << PAGE_SHIFT) + index * PTE_SIZE)
             entry = entry.entries.get(index)
             if entry is None:
-                return pte_paddrs, None, False
-        return pte_paddrs, entry.pfn, entry.writable
+                return tuple(pte_paddrs), None, False
+        record = tuple(pte_paddrs), entry.pfn, entry.writable
+        self._walks[vpn] = record
+        return record
 
     def peek(self, vpn: int) -> Optional[Tuple[int, bool]]:
         """The translation :meth:`hw_walk` finds: ``(pfn, writable)`` or

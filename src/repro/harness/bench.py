@@ -64,7 +64,8 @@ Output schema (``BENCH_machine.json``)
     replayed a second time through :class:`repro.replay.BatchReplayer`
     (trace packing happens outside the timed window).  Carries the
     batch-mode ``ops_per_sec``/``elapsed_s``, the batched/scalar op
-    split, ``speedup_vs_scalar``, and ``final_clock`` — which the
+    split (whose ``fallbacks`` count the scalar ops per fallback
+    reason), ``speedup_vs_scalar``, and ``final_clock`` — which the
     harness asserts equal to the scalar run's clock before writing the
     report (cheap first line of the golden-equivalence defence).
 ``sweep``
@@ -314,6 +315,7 @@ def run_scenario(
     best = float("inf")
     final_clock: Optional[int] = None
     batched_ops = scalar_ops = 0
+    fallbacks: Dict[str, int] = {}
     for repeat in range(max(1, repeats)):
         machine, trace = builder(ops)
         if batch:
@@ -321,6 +323,7 @@ def run_scenario(
             elapsed, replayer = _replay_batched(machine, packed)
             batched_ops = replayer.batched_ops
             scalar_ops = replayer.scalar_ops
+            fallbacks = replayer.fallbacks
         else:
             elapsed = _replay(machine, trace)
         if final_clock is None:
@@ -341,6 +344,7 @@ def run_scenario(
     if batch:
         result["batched_ops"] = batched_ops
         result["scalar_ops"] = scalar_ops
+        result["fallbacks"] = fallbacks
     return result
 
 
@@ -451,6 +455,7 @@ def run_bench(
             batch_split[name] = {
                 "batched": result["batched_ops"],
                 "scalar": result["scalar_ops"],
+                "fallbacks": result["fallbacks"],
             }
             batch_clocks[name] = result["final_clock"]
         batch_speedups, batch_warnings = compute_speedups(

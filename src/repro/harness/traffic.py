@@ -143,6 +143,7 @@ def run_traffic(
         "op_split": {
             "batched": result.batched_ops,
             "scalar": result.scalar_ops,
+            "fallbacks": result.fallbacks,
         },
         "per_process_ops": per_process,
         "interference": interference_report(system.stats),

@@ -43,7 +43,9 @@ batch-specific stays in the kernel:
   materialized into real :class:`TlbEntry` objects at commit, together
   with the ``tlb.*``, ``walk.completed`` and ``ops.*`` counts — so a
   thrashing run only constructs the entries that survive it.  Nothing
-  on the line path reads the TLB, so staging is invisible to it;
+  on the line path reads the TLB, and the interference monitor's
+  eviction hook reads only the victim's asid (a staged fill's is the
+  current one), so staging is invisible to both;
 * timer truncation (below).
 
 TLB misses walk inline.  The installed walker returns a pure *walk
@@ -70,7 +72,9 @@ Everything else — faults, protection upgrades, multi-line and
 page-crossing ops, os-mode execution, attached extensions, installed
 persist hooks, TLB misses under a replaced eviction hook — falls back
 to the scalar :meth:`Machine.access` path op by op, which is
-definitionally equivalent.
+definitionally equivalent.  A kernel run that breaks on a hazard sends
+only that op down the scalar path, then re-probes;
+:attr:`BatchReplayer.fallbacks` counts the scalar ops per reason.
 """
 
 from __future__ import annotations
@@ -101,16 +105,27 @@ _MAX_SCALAR_SPAN = 4096  # repro: allow-geometry(op-count span cap, not a byte s
 _MIN_KERNEL_BLOCK = 64
 _MAX_KERNEL_BLOCK = DEFAULT_CHUNK
 
-#: A kernel run shorter than this is treated like an ineligible probe
-#: for span pacing: interleaved workloads with only occasional miss ops
-#: should stay on the scalar ladder instead of ping-ponging into the
-#: kernel for a handful of ops at a time.
-_MIN_KERNEL_RUN = 8
+#: Why an op took the scalar path (:attr:`BatchReplayer.fallbacks`):
+#: ``chunk`` — attached extensions or os mode; ``multi_line`` —
+#: multi-line, page-crossing or zero-size op; ``fault`` — the walk
+#: record has no translation; ``write_protect`` — a write through a
+#: read-only translation; ``persist_hook`` — a crash injector is
+#: attached; ``no_walker`` — no address space installed, or a replaced
+#: TLB eviction hook; ``ladder`` — the ops of a probe's scalar span
+#: after its first.
+FALLBACK_REASONS = (
+    "chunk",
+    "multi_line",
+    "fault",
+    "write_protect",
+    "persist_hook",
+    "no_walker",
+    "ladder",
+)
 
-#: _probe_one outcomes.
-_PROBE_SCALAR = 0  #: not committable: scalar Machine.access fallback
-_PROBE_KERNEL = 1  #: committable by the miss-run kernel
-_PROBE_FAST = 2  #: TLB- and L1-resident: vectorized fast-run path
+#: _probe_one outcomes besides a fallback reason.
+_PROBE_KERNEL = "kernel"  #: committable by the miss-run kernel
+_PROBE_FAST = "fast"  #: TLB- and L1-resident: vectorized fast-run path
 
 _LINE_MASK = np.uint64(CACHE_LINE - 1)
 _PAGE_MASK = np.uint64(PAGE_SIZE - 1)
@@ -132,9 +147,10 @@ class BatchReplayer:
     calls is safe.
 
     ``batched_ops`` / ``scalar_ops`` count how the trace actually
-    executed (they are engine-local diagnostics, deliberately *not*
-    machine stats: the stats dump must stay byte-identical to a scalar
-    replay).
+    executed, and ``fallbacks`` splits ``scalar_ops`` by
+    :data:`FALLBACK_REASONS` (engine-local diagnostics, deliberately
+    *not* machine stats: the stats dump must stay byte-identical to a
+    scalar replay).
     """
 
     def __init__(self, machine: Machine, chunk: int = DEFAULT_CHUNK) -> None:
@@ -144,6 +160,7 @@ class BatchReplayer:
         self.chunk = chunk
         self.batched_ops = 0
         self.scalar_ops = 0
+        self.fallbacks = dict.fromkeys(FALLBACK_REASONS, 0)
         # Scalar run-ahead length, persisted across chunks so an
         # entirely-scalar trace converges to one precheck per span
         # instead of restarting the doubling ladder every chunk.
@@ -187,6 +204,7 @@ class BatchReplayer:
             # Extensions attached / fast path off / os mode: the whole
             # chunk is scalar by definition; skip the precheck entirely.
             self._scalar_span(addr, size, is_write, 0, count)
+            self.fallbacks["chunk"] += count
             return
         # Plain-python columns for the miss-run kernel, converted once
         # per chunk on first use (the values are immutable, so they stay
@@ -202,13 +220,15 @@ class BatchReplayer:
             probe = self._probe_one(
                 int(addr[base]), int(size[base]), bool(is_write[base])
             )
-            if probe == _PROBE_SCALAR:
+            if probe is not _PROBE_KERNEL and probe is not _PROBE_FAST:
                 stop = min(count, base + self._span)
                 self._scalar_span(addr, size, is_write, base, stop)
+                self.fallbacks[probe] += 1
+                self.fallbacks["ladder"] += stop - base - 1
                 base = stop
                 self._span = min(self._span * 2, _MAX_SCALAR_SPAN)
                 continue
-            if probe == _PROBE_KERNEL:
+            if probe is _PROBE_KERNEL:
                 if addr_list is None:
                     addr_list = addr.tolist()
                     write_list = is_write.tolist()
@@ -217,36 +237,29 @@ class BatchReplayer:
                         & (size > 0)
                     ).tolist()
                 stop = min(count, base + self._kernel_block)
-                consumed, fired = self._miss_run(
+                consumed, hazard = self._miss_run(
                     addr_list[base:stop],
                     write_list[base:stop],
                     single_list[base:stop],
                 )
-                requested = stop - base
                 base += consumed
-                if consumed == requested:
+                self._span = _MIN_SCALAR_SPAN
+                if base == stop:
                     # Whole block consumed: the run is still going.
                     self._kernel_block = min(
                         self._kernel_block * 2, _MAX_KERNEL_BLOCK
                     )
-                    self._span = _MIN_SCALAR_SPAN
                     continue
                 self._kernel_block = _MIN_KERNEL_BLOCK
-                if fired:
-                    # Timer callbacks may have mutated anything; the
-                    # next iteration re-probes from scratch.
-                    self._span = _MIN_SCALAR_SPAN
-                    continue
-                # The kernel broke on a hazard (fault, protection
-                # upgrade, multi-line op): the op at the break point
-                # needs the scalar path.
-                stop = min(count, base + self._span)
-                self._scalar_span(addr, size, is_write, base, stop)
-                base = stop
-                if consumed < _MIN_KERNEL_RUN:
-                    self._span = min(self._span * 2, _MAX_SCALAR_SPAN)
-                else:
-                    self._span = _MIN_SCALAR_SPAN
+                if hazard is not None:
+                    # The kernel broke on a hazard (fault, protection
+                    # upgrade, multi-line op): only that op needs the
+                    # scalar path.
+                    self._scalar_span(addr, size, is_write, base, base + 1)
+                    self.fallbacks[hazard] += 1
+                    base += 1
+                # Timer callbacks (or the scalar op) may have mutated
+                # anything; the next iteration re-probes from scratch.
                 continue
             # _PROBE_FAST: vectorized eligibility + fast-run commits.
             mask, key, line = self._eligibility(
@@ -286,6 +299,7 @@ class BatchReplayer:
                 # (unreachable today — both test the same structures).
                 stop = min(count, base + self._span)
                 self._scalar_span(addr, size, is_write, base, stop)
+                self.fallbacks["ladder"] += stop - base
                 base = stop
                 self._span = min(self._span * 2, _MAX_SCALAR_SPAN)
                 continue
@@ -311,9 +325,10 @@ class BatchReplayer:
             access(vaddr, nbytes, write)
         self.scalar_ops += stop - start
 
-    def _probe_one(self, vaddr: int, nbytes: int, is_write: bool) -> int:
-        """Classify the next op: scalar fallback, miss-run kernel, or
-        the vectorized fast path.
+    def _probe_one(self, vaddr: int, nbytes: int, is_write: bool) -> str:
+        """Classify the next op: the miss-run kernel, the vectorized
+        fast path, or else the scalar fallback's reason (one of
+        :data:`FALLBACK_REASONS`).
 
         Mirrors the per-op eligibility tests of both batch engines at
         dict-probe cost, so the expensive vectorized precheck only runs
@@ -321,9 +336,9 @@ class BatchReplayer:
         """
         machine = self.machine
         if not machine._fast_ok or machine._mode_stack:  # noqa: SLF001
-            return _PROBE_SCALAR
+            return "chunk"
         if nbytes <= 0 or vaddr % CACHE_LINE + nbytes > CACHE_LINE:
-            return _PROBE_SCALAR
+            return "multi_line"
         key = vaddr // PAGE_SIZE | machine._asid_base  # noqa: SLF001
         entry = machine.tlb._entries.get(key)  # noqa: SLF001 - hot path
         if entry is None:
@@ -331,18 +346,21 @@ class BatchReplayer:
             # which needs a clean translation, the stock eviction hook
             # and no persist hook (crash injection must see every
             # scalar persist event).
+            if machine.persist_hook is not None:
+                return "persist_hook"
             if (
-                machine.persist_hook is not None
-                or machine.walker is None
+                machine.walker is None
                 or machine.tlb.on_evict != machine._tlb_evict_hook  # noqa: SLF001
             ):
-                return _PROBE_SCALAR
+                return "no_walker"
             _, pfn, writable = machine.walker(vaddr // PAGE_SIZE)
-            if pfn is None or (is_write and not writable):
-                return _PROBE_SCALAR
+            if pfn is None:
+                return "fault"
+            if is_write and not writable:
+                return "write_protect"
             return _PROBE_KERNEL
         if is_write and not entry.writable:
-            return _PROBE_SCALAR
+            return "write_protect"
         line = entry.pfn * LINES_PER_PAGE + vaddr % PAGE_SIZE // CACHE_LINE
         l1_sets = machine._l1_sets  # noqa: SLF001 - hot path
         if line in l1_sets[line % machine._l1_nsets]:  # noqa: SLF001
@@ -350,7 +368,7 @@ class BatchReplayer:
         if machine.persist_hook is not None:
             # L1 misses can write back to NVM; those must emit scalar
             # persist events when an injector is attached.
-            return _PROBE_SCALAR
+            return "persist_hook"
         return _PROBE_KERNEL
 
     # ------------------------------------------------------------------
@@ -362,14 +380,15 @@ class BatchReplayer:
         addrs: List[int],
         writes: List[bool],
         singles: List[bool],
-    ) -> Tuple[int, bool]:
+    ) -> Tuple[int, Optional[str]]:
         """Execute a run of ops, each line through the machine's own
         :meth:`Machine.phys_line_access`, with TLB activity staged.
 
         Consumes ops until a hazard (see the module docstring's
         fallback taxonomy) or the earliest timer deadline; commits the
         staged TLB state, then fires any due timers.  Returns ``(ops
-        consumed, timers fired)``.  A
+        consumed, hazard)``: the :data:`FALLBACK_REASONS` entry of the
+        op the run broke on, or ``None``.  A
         :class:`~repro.common.errors.FaultError` from the line path
         propagates after the commit, leaving what the scalar path
         leaves when it raises on the same op.
@@ -392,31 +411,31 @@ class BatchReplayer:
             if tlb.on_evict == machine._tlb_evict_hook  # noqa: SLF001
             else None
         )
-        # Without a monitor watching evictions, staged TLB entries can
-        # be deferred tuples — only survivors get materialized.  With a
-        # monitor, victims must be real entries at note_tlb_evict time.
-        defer_entries = imon is None
         deadline = heap[0][0] if heap else None
 
         consumed = 0
         last_key = 0
+        hazard = None
         #: Staged TLB activity: every op's key ends up here (moved real
-        #: entries, or walk fills as (pfn, writable, vpn) tuples).  The
-        #: combined LRU order is ``entries`` then ``pending``, matching
-        #: the scalar dict exactly; evictions pop the combined head.
+        #: entries, or walk fills as (pfn, writable, vpn) tuples, whose
+        #: asid is the current one).  The combined LRU order is
+        #: ``entries`` then ``pending``, matching the scalar dict
+        #: exactly; evictions pop the combined head.
         pending: dict = {}
         n_tlb_hit = n_tlb_miss = n_tlb_evict = n_walks = 0
         n_write_ops = 0
         try:
             for vaddr, w, ok in zip(addrs, writes, singles):
                 if not ok:
-                    break  # multi-line / page-crossing / zero-size op
+                    hazard = "multi_line"  # or page-crossing / zero-size
+                    break
                 vpn = vaddr // PAGE_SIZE
                 key = asid_base | vpn
                 entry = entries.get(key)
                 if entry is not None:
                     if w and not entry.writable:
-                        break  # protection upgrade: scalar fault path
+                        hazard = "write_protect"  # scalar fault path
+                        break
                     pfn = entry.pfn
                     n_tlb_hit += 1
                     # LRU refresh: a touched real entry moves behind the
@@ -428,24 +447,27 @@ class BatchReplayer:
                     staged = pending.get(key)
                     if staged is not None:
                         if type(staged) is tuple:
-                            pfn = staged[0]
-                            if w and not staged[1]:
-                                break
+                            pfn, writable, _ = staged
                         else:
-                            pfn = staged.pfn
-                            if w and not staged.writable:
-                                break
+                            pfn, writable = staged.pfn, staged.writable
+                        if w and not writable:
+                            hazard = "write_protect"
+                            break
                         n_tlb_hit += 1
                         pending[key] = pending.pop(key)
                         machine.clock += op_base
                     else:
                         if walker is None:
+                            hazard = "no_walker"
                             break
                         pte_paddrs, pfn, writable = walker(vpn)
                         if pfn is None or (w and not writable):
                             # Fault / protection upgrade: break before
                             # charging anything — the scalar path then
                             # executes the op (and its walks) whole.
+                            hazard = (
+                                "fault" if pfn is None else "write_protect"
+                            )
                             break
                         # Scalar order: op_base, the walk's entry reads,
                         # the TLB fill, then the data line.
@@ -458,17 +480,14 @@ class BatchReplayer:
                         if len(entries) + len(pending) >= tlb_capacity:
                             if entries:
                                 victim = entries.pop(next(iter(entries)))
+                                victim_asid = victim.asid
                             else:
-                                victim = pending.pop(next(iter(pending)))
+                                del pending[next(iter(pending))]
+                                victim_asid = asid
                             n_tlb_evict += 1
                             if imon is not None:
-                                imon.note_tlb_evict(victim)
-                        if defer_entries:
-                            pending[key] = (pfn, writable, vpn)
-                        else:
-                            pending[key] = TlbEntry(
-                                vpn, pfn, writable, asid=asid
-                            )
+                                imon.note_tlb_evict(victim_asid)
+                        pending[key] = (pfn, writable, vpn)
                 last_key = key
                 offset = vaddr % PAGE_SIZE
                 line_access(pfn * PAGE_SIZE + offset - offset % CACHE_LINE, w)
@@ -481,15 +500,12 @@ class BatchReplayer:
             # Commit the staged TLB state before any callback runs (and
             # before a FaultError from the line path propagates).
             if pending:
-                if defer_entries:
-                    for staged_key, staged in pending.items():
-                        entries[staged_key] = (
-                            TlbEntry(staged[2], staged[0], staged[1], asid=asid)
-                            if type(staged) is tuple
-                            else staged
-                        )
-                else:
-                    entries.update(pending)
+                for staged_key, staged in pending.items():
+                    entries[staged_key] = (
+                        TlbEntry(staged[2], staged[0], staged[1], asid=asid)
+                        if type(staged) is tuple
+                        else staged
+                    )
                 tlb.sync_mru(last_key)
             # Guarded adds: a zero add would create a counter key the
             # scalar replay of the same ops never creates.  Each op that
@@ -510,12 +526,9 @@ class BatchReplayer:
             if consumed - n_write_ops:
                 counters["ops.reads"] += consumed - n_write_ops
             self.batched_ops += consumed
-        if not consumed:
-            return 0, False
-        fired = 0
-        if heap and heap[0][0] <= machine.clock:
-            fired = machine.timers.fire_due(machine._read_clock)  # noqa: SLF001
-        return consumed, bool(fired)
+        if consumed and heap and heap[0][0] <= machine.clock:
+            machine.timers.fire_due(machine._read_clock)  # noqa: SLF001
+        return consumed, hazard
 
     # ------------------------------------------------------------------
     # vectorized fast-run path

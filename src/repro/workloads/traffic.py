@@ -731,6 +731,9 @@ class TrafficRunResult:
     batched_ops: int
     scalar_ops: int
     final_clock: int
+    #: Batch mode: ``scalar_ops`` split by fallback reason (see
+    #: :data:`repro.replay.batch.FALLBACK_REASONS`); empty in scalar mode.
+    fallbacks: Dict[str, int]
 
 
 class TrafficScheduler:
@@ -838,4 +841,5 @@ class TrafficScheduler:
                 replayer.scalar_ops if replayer is not None else scalar_ops
             ),
             final_clock=machine.clock,
+            fallbacks=dict(replayer.fallbacks) if replayer is not None else {},
         )

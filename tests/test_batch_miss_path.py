@@ -19,7 +19,11 @@ import hashlib
 
 import pytest
 
+import repro.replay.batch as batch_module
+from repro.arch.hooks import HardwareExtension
+from repro.arch.interference import InterferenceMonitor
 from repro.arch.machine import LINES_PER_PAGE, Machine
+from repro.arch.tlb import TlbEntry
 from repro.common.config import (
     CacheConfig,
     HybridLayoutConfig,
@@ -28,9 +32,13 @@ from repro.common.config import (
     small_machine_config,
 )
 from repro.common.errors import FaultError
+from repro.common.stats import Stats
 from repro.common.units import CACHE_LINE, KiB, MiB, PAGE_SIZE
+from repro.gemos.frames import FrameAllocator
+from repro.gemos.pagetable import PageTable
 from repro.mem.hybrid import MemType
-from repro.replay import replay_batch
+from repro.replay import BatchReplayer, replay_batch
+from repro.replay.batch import FALLBACK_REASONS
 
 #: Cycles between hazard-timer fires: a handful of fires across the
 #: ~3M-cycle hazard traces (each fire lands mid-run and must force the
@@ -130,7 +138,13 @@ def _digest(machine: Machine) -> str:
 #: share one line path, so batch-vs-scalar equality alone no longer
 #: checks the hierarchy against an independent implementation; both
 #: runs of every trace below must also reproduce these digests.
+#: ``fallback.demand_fault_one_op`` was recorded later, from the
+#: scalar and batch replays of the engine that still ran a scalar span
+#: after every kernel break.
 PINNED_DIGESTS = {
+    "fallback.demand_fault_one_op": (
+        "ce1bb0f5f9bb4bb016d84dde3c88e33f1c3970108dafd4c9ffee336ed9690140"
+    ),
     "fallback.extra_walker_calls": (
         "f0ca548aa3aa955fbcb6daed9f0d82416e78422bb0c6ab4f3561d161cb698b46"
     ),
@@ -648,3 +662,156 @@ class TestInlineImpureWalks:
         assert replayer.batched_ops > 0
         assert _fingerprint(batch_machine) == _fingerprint(scalar_machine)
         _assert_pinned("walks.timer_deadlines", scalar_machine, batch_machine)
+
+
+def _gemos_space(npages: int):
+    """Machine walking a real four-level :class:`PageTable` (tables in
+    DRAM, so every walk reads four entries through the caches) with
+    ``npages`` NVM pages premapped and a demand-paging fault handler."""
+    machine = Machine(_tiny_config())
+    dram_base, dram_end = machine.layout.pfn_range(MemType.DRAM)
+    nvm_base, _ = machine.layout.pfn_range(MemType.NVM)
+    table = PageTable(
+        FrameAllocator(MemType.DRAM, dram_base, dram_end, Stats())
+    )
+    for vpn in range(npages):
+        table.map(vpn, nvm_base + vpn)
+
+    def fault(vaddr, is_write):
+        vpn = vaddr // PAGE_SIZE
+        table.map(vpn, nvm_base + vpn)
+
+    machine.install_context(1, table.hw_walk, fault)
+    return machine
+
+
+class TestOneOpFallback:
+    def test_mid_run_demand_fault_costs_one_scalar_op(self):
+        """A kernel run that breaks on a demand fault sends only the
+        faulting op down the scalar path, then resumes batching."""
+        npages = 512
+        thrash = _thrash_trace(3000, npages=npages)
+        fault_op = (npages * PAGE_SIZE + 64, 8, True)
+        trace = thrash[:1500] + [fault_op] + thrash[1500:]
+        scalar, batch, replayer = _run_pair(
+            lambda: _gemos_space(npages), trace
+        )
+        assert replayer.scalar_ops == 1
+        assert replayer.fallbacks["fault"] == 1
+        assert batch.stats["walk.aborted"] == 1
+        assert _fingerprint(batch) == _fingerprint(scalar)
+        _assert_pinned("fallback.demand_fault_one_op", scalar, batch)
+
+
+class TestMonitorTransparentStaging:
+    def test_thrashing_run_builds_only_surviving_entries(self, monkeypatch):
+        """With an interference monitor installed, the kernel still
+        stages walk fills as tuples: each run materializes at most one
+        TLB's worth of entries, and the monitor's TLB attribution
+        equals scalar replay's key for key."""
+        npages = 512
+        capacity = _tiny_config().tlb.entries
+        built = []
+        per_run = []
+
+        def counting_entry(*args, **kwargs):
+            built.append(args)
+            return TlbEntry(*args, **kwargs)
+
+        kernel = BatchReplayer._miss_run
+
+        def counting_run(self, *args):
+            before = len(built)
+            result = kernel(self, *args)
+            per_run.append(len(built) - before)
+            return result
+
+        monkeypatch.setattr(batch_module, "TlbEntry", counting_entry)
+        monkeypatch.setattr(BatchReplayer, "_miss_run", counting_run)
+
+        def run(batch):
+            machine, _ = _premapped(npages, nvm=True)
+            machine.install_interference_monitor(InterferenceMonitor())
+            walker = machine.walker
+            replayer = BatchReplayer(machine)
+            for segment in range(8):
+                # Alternate address spaces over the same pages: the
+                # asid-tagged TLB keeps the other space's entries, so
+                # fills evict them across processes.
+                machine.install_context(1 + segment % 2, walker, None)
+                trace = _thrash_trace(500 + segment, npages=npages)
+                if batch:
+                    replayer.replay(trace)
+                else:
+                    for vaddr, size, is_write in trace:
+                        machine.access(vaddr, size, is_write)
+            return machine, replayer
+
+        scalar, _ = run(batch=False)
+        batch, replayer = run(batch=True)
+        assert replayer.scalar_ops == 0
+        assert batch.stats["tlb.miss"] > 3600
+        assert per_run and max(per_run) <= capacity
+        pairs = batch.stats.with_prefix("interference.tlb.")
+        assert any("_evicted_" in key for key in pairs)
+        assert pairs == scalar.stats.with_prefix("interference.tlb.")
+        assert _fingerprint(batch) == _fingerprint(scalar)
+
+
+def _tally(replayer):
+    """Non-zero fallback counts, after checking they split scalar_ops."""
+    assert tuple(replayer.fallbacks) == FALLBACK_REASONS
+    assert sum(replayer.fallbacks.values()) == replayer.scalar_ops
+    return {reason: n for reason, n in replayer.fallbacks.items() if n}
+
+
+class TestFallbackCounts:
+    """``BatchReplayer.fallbacks`` splits ``scalar_ops`` by hazard
+    category on the fallback-taxonomy traces."""
+
+    def test_clean_thrash_never_falls_back(self):
+        trace = _thrash_trace(2000, npages=512)
+        replayer = replay_batch(_premapped(512, nvm=True)[0], trace)
+        assert _tally(replayer) == {}
+
+    def test_persist_hook(self):
+        machine, _ = _premapped(256, nvm=True)
+        machine.persist_hook = lambda kind, detail: None
+        replayer = replay_batch(machine, _thrash_trace(2000, npages=256))
+        assert set(_tally(replayer)) == {"persist_hook", "ladder"}
+        assert replayer.scalar_ops == 2000
+
+    def test_write_protect(self):
+        machine, _ = _premapped(512, nvm=True, read_only_every=5)
+        trace = _thrash_trace(3000, npages=512, write_every=2)
+        tally = _tally(replay_batch(machine, trace))
+        assert tally["write_protect"] > 0
+        assert "fault" not in tally
+
+    def test_multi_line(self):
+        trace = [
+            ((i % 100) * PAGE_SIZE + PAGE_SIZE - 64, PAGE_SIZE + 96, True)
+            if i % 50 == 25
+            else op
+            for i, op in enumerate(_thrash_trace(2000, npages=512))
+        ]
+        tally = _tally(replay_batch(_premapped(512, nvm=True)[0], trace))
+        assert tally["multi_line"] >= 2000 // 50
+
+    def test_fault(self):
+        machine = _gemos_space(256)
+        tally = _tally(replay_batch(machine, _thrash_trace(2000, npages=512)))
+        assert 0 < tally["fault"] <= machine.stats["walk.aborted"]
+
+    def test_no_walker(self):
+        machine, _ = _premapped(512, nvm=True)
+        machine.tlb.on_evict = lambda entry: None
+        tally = _tally(replay_batch(machine, _thrash_trace(2000, npages=512)))
+        assert set(tally) <= {"no_walker", "ladder"}
+        assert tally["no_walker"] > 0
+
+    def test_chunk(self):
+        machine, _ = _premapped(512, nvm=True)
+        machine.attach_extension(HardwareExtension())
+        tally = _tally(replay_batch(machine, _thrash_trace(1000, npages=512)))
+        assert tally == {"chunk": 1000}

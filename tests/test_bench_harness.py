@@ -91,6 +91,12 @@ class TestScenarios:
         assert batched["batched_ops"] + batched["scalar_ops"] == 2000
         assert batched["batched_ops"] > 0  # the kernel actually engaged
 
+    def test_run_scenario_batch_says_why_ops_fell_back(self):
+        batched = run_scenario("fault_heavy", 2000, repeats=1, batch=True)
+        fallbacks = batched["fallbacks"]
+        assert sum(fallbacks.values()) == batched["scalar_ops"] > 0
+        assert fallbacks["fault"] > 0
+
 
 class TestReportSchema:
     def test_smoke_report_schema(self):

@@ -1,6 +1,7 @@
 """Four-level page table: mapping, reclamation, walks, observers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arch.machine import Machine
 from repro.common.config import small_machine_config
@@ -15,6 +16,7 @@ from repro.gemos.pagetable import (
     PageTable,
     _index_at,
 )
+from repro.gemos.vma import MAP_NVM, PROT_READ, PROT_WRITE
 from repro.mem.hybrid import MemType
 
 
@@ -176,7 +178,7 @@ class TestWalkRecord:
             index = _index_at(vpn, level)
             expected.append(node.entry_paddr(index))
             node = node.entries[index]
-        assert table.hw_walk(vpn) == (expected, 42, False)
+        assert table.hw_walk(vpn) == (tuple(expected), 42, False)
         assert table.peek(vpn) == (42, False)
 
     @pytest.mark.parametrize("level", range(LEVELS))
@@ -202,3 +204,108 @@ class TestWalkRecord:
         for vpn in (7, ENTRIES_PER_TABLE**3, 8, 1 << 30):
             assert machine.walker(vpn) == machine.walker(vpn)
         assert (machine.clock, machine.stats.dump(), table.entry_writes) == before
+
+
+def _fresh_walk(table, vpn):
+    """Reference traversal, level by level, bypassing the walk memo."""
+    paddrs = []
+    node = table.root
+    for level in range(LEVELS - 1, -1, -1):
+        index = _index_at(vpn, level)
+        paddrs.append(node.entry_paddr(index))
+        node = node.entries.get(index)
+        if node is None:
+            return tuple(paddrs), None, False
+    return tuple(paddrs), node.pfn, node.writable
+
+
+#: Vpns sharing and splitting subtrees at every level, plus neighbours.
+_MEMO_VPNS = sorted(
+    {
+        base + delta
+        for base in (
+            1,
+            ENTRIES_PER_TABLE,
+            ENTRIES_PER_TABLE**2,
+            ENTRIES_PER_TABLE**3,
+            5 * ENTRIES_PER_TABLE**2 + 3 * ENTRIES_PER_TABLE,
+        )
+        for delta in (-1, 0, 1)
+    }
+)
+
+_MEMO_OPS = st.one_of(
+    st.tuples(
+        st.just("map"),
+        st.sampled_from(_MEMO_VPNS),
+        st.integers(1, 1000),
+        st.booleans(),
+    ),
+    st.tuples(st.just("unmap"), st.sampled_from(_MEMO_VPNS)),
+    st.tuples(st.just("protect"), st.sampled_from(_MEMO_VPNS), st.booleans()),
+    st.tuples(
+        st.just("update_pfn"), st.sampled_from(_MEMO_VPNS), st.integers(1, 1000)
+    ),
+)
+
+
+class TestWalkMemo:
+    """``hw_walk`` memoizes completed records; every mutation must leave
+    the memo agreeing with a fresh traversal."""
+
+    @given(st.lists(_MEMO_OPS, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_memo_matches_fresh_traversal(self, ops):
+        table = PageTable(
+            FrameAllocator(MemType.DRAM, 0, ENTRIES_PER_TABLE, Stats())
+        )
+        for op in ops:
+            getattr(table, op[0])(*op[1:])
+            for vpn in _MEMO_VPNS:
+                assert table.hw_walk(vpn) == _fresh_walk(table, vpn), (op, vpn)
+
+    def test_completed_records_are_reused(self, table):
+        table.map(7, 12)
+        assert table.hw_walk(7) is table.hw_walk(7)
+
+    def test_destroyed_table_raises_instead_of_returning_a_stale_record(
+        self, table
+    ):
+        table.map(7, 12)
+        assert table.hw_walk(7)[1] == 12
+        table.destroy()
+        with pytest.raises(AttributeError):
+            table.hw_walk(7)
+
+    def test_reattached_persistent_table_walks_after_prune(
+        self, persistent_system
+    ):
+        """Recovery reattaches the NVM-resident table object and prunes
+        its DRAM leaf with ``unmap``; records memoized before the crash
+        must not survive the prune."""
+        system = persistent_system
+        kernel = system.kernel
+        process = system.spawn("app")
+        rw = PROT_READ | PROT_WRITE
+        dram_addr = kernel.sys_mmap(process, None, PAGE_SIZE, rw, 0, name="d")
+        nvm_addr = kernel.sys_mmap(
+            process, None, PAGE_SIZE, rw, MAP_NVM, name="n"
+        )
+        system.machine.store(dram_addr, b"v")
+        system.machine.store(nvm_addr, b"p")
+        system.checkpoint()
+        table = process.page_table
+        vpns = (dram_addr // PAGE_SIZE, nvm_addr // PAGE_SIZE)
+        assert all(table.hw_walk(vpn)[1] is not None for vpn in vpns)
+        system.crash()
+        (recovered,) = system.boot()
+        assert recovered.page_table is table
+        assert system.stats["recovery.stale_dram_leaves"] == 1
+        assert table.hw_walk(vpns[0])[1] is None
+        for vpn in vpns:
+            assert table.hw_walk(vpn) == _fresh_walk(table, vpn)
+        system.kernel.switch_to(recovered)
+        assert system.machine.load(nvm_addr, 1) == b"p"
+        assert system.machine.load(dram_addr, 1) == b"\x00"
+        for vpn in vpns:
+            assert table.hw_walk(vpn) == _fresh_walk(table, vpn)

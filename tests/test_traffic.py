@@ -20,6 +20,7 @@ from repro.common.errors import KindleError
 from repro.common.stats import Stats
 from repro.platform import HybridSystem
 from repro.prep.trace import load_trace_packed
+from repro.replay.batch import FALLBACK_REASONS
 from repro.workloads import TABLE2_MIXES
 from repro.workloads.traffic import (
     DEFAULT_DIURNAL_CURVE,
@@ -408,6 +409,16 @@ class TestInterferenceAttribution:
         assert dram["self"] + dram["cross"] > 0
         assert nvm["self"] + nvm["cross"] > 0
 
+    def test_run_result_splits_scalar_ops_by_fallback_reason(self):
+        config = _small_config()
+        _, result = _replay(config)
+        assert tuple(result.fallbacks) == FALLBACK_REASONS
+        assert sum(result.fallbacks.values()) == result.scalar_ops > 0
+        # First touches of the freshly mapped client windows fault.
+        assert result.fallbacks["fault"] > 0
+        _, scalar = _replay(config, batch=False)
+        assert scalar.fallbacks == {}
+
     def test_report_shapes_empty_stats(self):
         report = interference_report(Stats())
         assert report["llc"] == {"self": 0, "cross": 0, "pairs": {}}
@@ -468,6 +479,8 @@ class TestCli:
         assert len(section["per_process_ops"]) == 2
         assert all(key.startswith("p") for key in section["per_process_ops"])
         assert sum(section["per_process_ops"].values()) == 1800
+        split = section["op_split"]
+        assert sum(split["fallbacks"].values()) == split["scalar"]
         assert (tmp_path / "traces" / "traffic_p0.bin").exists()
         assert report["schema"].startswith("bench_machine/")
         captured = capsys.readouterr()

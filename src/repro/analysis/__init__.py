@@ -29,27 +29,20 @@ Five per-file checkers ship with the repo (see
     ``repro.exec`` task targets that are not top-level,
     import-resolvable, mutable-default-free functions.
 
-Three *whole-program* checkers reason over a cross-module call graph
-with fixed-point effect propagation (:mod:`repro.analysis.graph`,
-built from :mod:`repro.analysis.effects` summaries) instead of one
-file at a time:
-
-``counter-parity``
-    every stat key the scalar replay path bumps is reachable from the
-    batch miss-run kernel, and the kernels invent no batch-only keys;
-``fallback-coverage``
-    every dynamic scalar boundary (walkers, fault/persist hooks,
-    extensions, timers, os-mode) has a kernel eligibility guard and a
-    row in the EXPERIMENTS.md scalar-fallback taxonomy;
-``observer-purity``
-    interference-monitor hooks stay pure: own state and
-    ``interference.*`` counters only.
+The package checks conventions one file at a time; batch/scalar
+parity is not its job.  Drift between the batch replay kernel and the
+scalar path (a dropped or invented stat tally, a missing fallback
+guard, an impure interference observer) is caught at run time by the
+golden-equivalence, miss-path and batch-replay suites, which compare
+the stats dump, clock and physical memory byte for byte; a tier-1
+test matches the documented fallback taxonomy against
+:data:`repro.replay.batch.FALLBACK_REASONS` (see "Drift gates" in
+EXPERIMENTS.md).
 
 Run ``python -m repro.analysis`` (text, ``--format json`` or
 ``--format sarif``, optional ``--baseline`` suppression file,
-``--changed`` fast path, ``--cache-dir`` incremental effect-summary
-cache keyed on import-closure fingerprints); intentional violations
-carry an inline pragma::
+``--changed`` fast path); intentional violations carry an inline
+pragma::
 
     t0 = time.perf_counter()  # repro: allow-nondet(wall-clock bench measurement)
 """

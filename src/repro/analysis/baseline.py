@@ -8,7 +8,10 @@ multiset: two identical findings need two entries, so a baseline can
 never hide a newly introduced duplicate of an acknowledged violation.
 
 Stale entries (nothing in the tree matches them anymore) are reported
-so baselines shrink over time instead of fossilizing.
+so baselines shrink over time instead of fossilizing.  Only an entry
+whose file was scanned and whose checker ran can be stale: a partial
+run (``--changed``, a path subset, ``--checkers``) says nothing about
+the rest of the baseline.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.analysis.core import Finding
 
@@ -64,9 +67,17 @@ def load(path: Path) -> List[Dict[str, str]]:
 
 
 def apply(
-    findings: List[Finding], entries: List[Dict[str, str]]
+    findings: List[Finding],
+    entries: List[Dict[str, str]],
+    scanned: Set[str],
+    checkers: Set[str],
 ) -> Tuple[List[Finding], int, List[Dict[str, str]]]:
-    """Split findings into (new, suppressed count, stale entries)."""
+    """Split findings into (new, suppressed count, stale entries).
+
+    ``scanned`` holds the repo-relative paths of the files this run
+    analyzed and ``checkers`` the ids of the checkers it ran; entries
+    outside either are left alone rather than reported stale.
+    """
     budget = Counter(
         (e["checker"], e["path"], e["message"]) for e in entries
     )
@@ -82,7 +93,7 @@ def apply(
     stale = [
         {"checker": c, "path": p, "message": m}
         for (c, p, m), count in sorted(budget.items())
+        if p in scanned and c in checkers
         for _ in range(count)
-        if count > 0
     ]
     return fresh, suppressed, stale

@@ -7,11 +7,8 @@ Importing this package registers every checker with
 from __future__ import annotations
 
 from repro.analysis.checkers import (  # noqa: F401 - registration imports
-    counterparity,
     determinism,
-    fallbackcov,
     geometry,
-    observerpurity,
     persistence,
     statskeys,
     tasksafety,

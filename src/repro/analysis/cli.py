@@ -15,13 +15,10 @@ Options:
     text renders one ``path:line:col: [rule] message (fix: hint)``
     line per finding; json emits findings plus a summary document;
     sarif emits a SARIF 2.1.0 log for CI code-review annotation.
-``--cache-dir DIR`` / ``--cache-stats FILE``
-    incremental effect-summary cache keyed on import-closure
-    fingerprints — warm runs re-extract only changed modules — plus
-    an optional hit/miss statistics dump for CI assertions.
 ``--baseline FILE``
     suppress findings recorded in a baseline file (stale entries are
-    reported so the file shrinks over time).
+    reported so the file shrinks over time; only entries for a scanned
+    file and a checker that ran can be stale).
 ``--write-baseline FILE``
     write the current findings as a new baseline and exit 0.
 ``--changed``
@@ -43,7 +40,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis import baseline as baseline_mod
-from repro.analysis import cache as cache_mod
 from repro.analysis import sarif as sarif_mod
 from repro.analysis.core import (
     AnalysisContext,
@@ -51,7 +47,7 @@ from repro.analysis.core import (
     SourceError,
     build_context,
 )
-from repro.analysis.registry import all_checkers
+from repro.analysis.registry import Checker, all_checkers
 
 
 def _repo_root(start: Path) -> Path:
@@ -106,21 +102,6 @@ def _parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help=(
-            "incremental summary cache directory (keyed on import-closure "
-            "fingerprints; warm runs re-analyze only changed modules)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-stats",
-        type=Path,
-        default=None,
-        help="write cache hit/miss statistics as JSON to this file",
-    )
-    parser.add_argument(
         "--baseline",
         type=Path,
         default=None,
@@ -150,17 +131,21 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect(ctx: AnalysisContext, checker_ids: Optional[List[str]]) -> List[Finding]:
+def _select(checker_ids: Optional[List[str]]) -> List[Checker]:
     checkers = all_checkers()
-    if checker_ids is not None:
-        known = {c.id for c in checkers}
-        unknown = [i for i in checker_ids if i not in known]
-        if unknown:
-            raise SystemExit(
-                f"unknown checker id(s): {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(known))}"
-            )
-        checkers = [c for c in checkers if c.id in checker_ids]
+    if checker_ids is None:
+        return checkers
+    known = {c.id for c in checkers}
+    unknown = [i for i in checker_ids if i not in known]
+    if unknown:
+        raise SystemExit(
+            f"unknown checker id(s): {', '.join(unknown)}; "
+            f"known: {', '.join(sorted(known))}"
+        )
+    return [c for c in checkers if c.id in checker_ids]
+
+
+def _collect(ctx: AnalysisContext, checkers: List[Checker]) -> List[Finding]:
     findings: List[Finding] = []
     for file in ctx.files:
         for checker in checkers:
@@ -214,14 +199,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    cache = cache_mod.attach_cache(ctx, args.cache_dir)
-
     checker_ids = (
         [c.strip() for c in args.checkers.split(",") if c.strip()]
         if args.checkers
         else None
     )
-    findings = _collect(ctx, checker_ids)
+    checkers = _select(checker_ids)
+    findings = _collect(ctx, checkers)
 
     if args.write_baseline is not None:
         baseline_mod.save(findings, args.write_baseline)
@@ -239,13 +223,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         except baseline_mod.BaselineError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        findings, suppressed, stale = baseline_mod.apply(findings, entries)
-
-    if cache is not None and args.cache_stats is not None:
-        args.cache_stats.parent.mkdir(parents=True, exist_ok=True)
-        args.cache_stats.write_text(
-            json.dumps(cache.stats(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+        findings, suppressed, stale = baseline_mod.apply(
+            findings,
+            entries,
+            scanned={f.rel for f in ctx.files},
+            checkers={c.id for c in checkers},
         )
 
     if args.fmt == "sarif":

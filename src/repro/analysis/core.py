@@ -17,7 +17,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.exec.fingerprint import module_source
 
@@ -76,25 +76,6 @@ class SourceFile:
     tree: ast.Module
     #: line number -> pragma names allowed on that line.
     pragmas: Dict[int, Set[str]] = field(default_factory=dict)
-
-    @property
-    def lines(self) -> List[str]:
-        return self.text.splitlines()
-
-    def suppressed(self, node: ast.AST, pragma: str) -> bool:
-        """True if ``node``'s statement carries ``# repro: allow-<pragma>``.
-
-        The pragma may sit on any physical line the node spans (trailing
-        comments on continued lines land on the last line).
-        """
-        if not self.pragmas:
-            return False
-        first = getattr(node, "lineno", 0)
-        last = getattr(node, "end_lineno", first) or first
-        for line in range(first, last + 1):
-            if pragma in self.pragmas.get(line, ()):
-                return True
-        return False
 
 
 class SourceError(Exception):
@@ -205,9 +186,6 @@ class AnalysisContext:
         self._tree_cache[name] = tree
         return tree
 
-    def module_exists(self, name: str) -> bool:
-        return self.module_tree(name) is not None
-
 
 def build_context(paths: Iterable[Path], repo_root: Path) -> AnalysisContext:
     files = [load_source_file(p, repo_root) for p in discover(paths)]
@@ -238,10 +216,3 @@ def receiver_basename(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def walk_functions(tree: ast.Module) -> Iterator[ast.AST]:
-    """Every function/async-function definition in the module."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

@@ -101,8 +101,8 @@ def module_source(name: str) -> Optional[Tuple[bytes, bool]]:
 
     Returns ``(source bytes, is_package)`` for a plain ``.py`` module
     importable on the current path, without importing it — shared with
-    :mod:`repro.analysis`, which resolves task targets and cross-module
-    contracts against exactly the sources a fingerprint would cover.
+    :mod:`repro.analysis`, whose ``task-safety`` checker resolves task
+    targets against exactly the sources a fingerprint would cover.
     """
     return _load_source(name)
 

@@ -27,14 +27,11 @@ def rules(findings):
 
 
 class TestRegistry:
-    def test_all_eight_checkers_registered(self):
+    def test_all_five_checkers_registered(self):
         ids = {c.id for c in all_checkers()}
         assert ids == {
-            "counter-parity",
             "determinism",
-            "fallback-coverage",
             "geometry",
-            "observer-purity",
             "persist-barrier",
             "stats-key",
             "task-safety",

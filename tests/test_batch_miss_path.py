@@ -16,6 +16,9 @@ batched run.  These tests pin the two contracts that make that safe:
 """
 
 import hashlib
+import itertools
+import re
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +42,8 @@ from repro.gemos.pagetable import PageTable
 from repro.mem.hybrid import MemType
 from repro.replay import BatchReplayer, replay_batch
 from repro.replay.batch import FALLBACK_REASONS
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 
 #: Cycles between hazard-timer fires: a handful of fires across the
 #: ~3M-cycle hazard traces (each fire lands mid-run and must force the
@@ -815,3 +820,25 @@ class TestFallbackCounts:
         machine.attach_extension(HardwareExtension())
         tally = _tally(replay_batch(machine, _thrash_trace(1000, npages=512)))
         assert tally == {"chunk": 1000}
+
+    def test_taxonomy_table_names_every_reason(self):
+        """The EXPERIMENTS.md scalar-fallback taxonomy names, in its key
+        column, exactly the reasons ``BatchReplayer.fallbacks`` counts;
+        every row fills the column (a dash where it is no fallback)."""
+        lines = EXPERIMENTS_MD.read_text(encoding="utf-8").splitlines()
+        start = next(
+            i
+            for i, line in enumerate(lines)
+            if line.startswith("| fallback trigger |")
+        )
+        header = [cell.strip() for cell in lines[start].strip("|").split("|")]
+        column = header.index("`fallbacks` key")
+        keys = set()
+        rows = itertools.takewhile(
+            lambda line: line.startswith("|"), lines[start + 2 :]
+        )
+        for row in rows:
+            cell = row.strip("|").split("|")[column].strip()
+            assert cell, row
+            keys.update(re.findall(r"`([^`]+)`", cell))
+        assert keys == set(FALLBACK_REASONS)

@@ -166,6 +166,29 @@ PINNED_DIGESTS = {
 }
 
 
+def _without_interference(machine: Machine):
+    """:func:`_fingerprint` minus the ``interference.*`` dump lines."""
+    dump, clock, frames = _fingerprint(machine)
+    kept = [
+        line
+        for line in dump.splitlines()
+        if not line.startswith("interference.")
+    ]
+    return "\n".join(kept), clock, frames
+
+
+def _assert_pure_observer(run, scalar_system, batch_system) -> None:
+    """The interference monitor is a pure observer: the same traffic
+    with no monitor installed must leave everything but the
+    ``interference.*`` counters byte-identical, in scalar and in batch
+    mode."""
+    for batch, system in ((False, scalar_system), (True, batch_system)):
+        bare, _ = run(batch=batch, monitor=False)
+        assert _fingerprint(bare.machine) == _without_interference(
+            system.machine
+        ), f"monitor changed a {'batch' if batch else 'scalar'} run"
+
+
 def _assert_pinned(name: str, *machines: Machine) -> None:
     for machine in machines:
         assert _digest(machine) == PINNED_DIGESTS[name], name
@@ -288,7 +311,9 @@ class TestGoldenEquivalence:
         stack: several gemOS processes, timestamp-driven context
         switches, demand faults, and the interference monitor's
         attribution hooks — stats (interference counters included),
-        clock and physical memory all byte-identical."""
+        clock and physical memory all byte-identical.  Without the
+        monitor, both modes must match the monitored runs outside the
+        ``interference.*`` counters."""
         from repro.arch.interference import InterferenceMonitor
         from repro.platform import HybridSystem
         from repro.workloads.traffic import (
@@ -308,14 +333,15 @@ class TestGoldenEquivalence:
         )
         schedule = ClientPopulation(config).generate()
 
-        def run(batch):
+        def run(batch, monitor=True):
             system = HybridSystem(
                 config=small_machine_config(), persistence=False
             )
             system.boot()
-            system.machine.install_interference_monitor(
-                InterferenceMonitor()
-            )
+            if monitor:
+                system.machine.install_interference_monitor(
+                    InterferenceMonitor()
+                )
             scheduler = TrafficScheduler(system, schedule)
             scheduler.provision()
             return system, scheduler.run(batch=batch)
@@ -334,12 +360,14 @@ class TestGoldenEquivalence:
         # The attribution counters are inside the compared dump — and
         # non-trivial: processes really displaced each other's entries.
         assert batch_system.stats["interference.tlb.cross"] > 0
+        _assert_pure_observer(run, scalar_system, batch_system)
 
     def test_batch_replay_identical_on_walk_heavy_gemos_traffic(self):
         """gemOS page tables behind a 4-entry TLB, so most ops walk: the
         kernel charges the walk records' entry reads inline, and stats
         (interference counters included), clock and physical memory must
-        still match scalar replay byte for byte."""
+        still match scalar replay byte for byte, and match unmonitored
+        runs outside the ``interference.*`` counters."""
         from repro.arch.interference import InterferenceMonitor
         from repro.platform import HybridSystem
         from repro.workloads.traffic import (
@@ -362,12 +390,13 @@ class TestGoldenEquivalence:
             small_machine_config(), tlb=TlbConfig(entries=4)
         )
 
-        def run(batch):
+        def run(batch, monitor=True):
             system = HybridSystem(config=machine_config, persistence=False)
             system.boot()
-            system.machine.install_interference_monitor(
-                InterferenceMonitor()
-            )
+            if monitor:
+                system.machine.install_interference_monitor(
+                    InterferenceMonitor()
+                )
             scheduler = TrafficScheduler(system, schedule)
             scheduler.provision()
             return system, scheduler.run(batch=batch)
@@ -388,6 +417,7 @@ class TestGoldenEquivalence:
         assert stats["tlb.miss"] > stats["tlb.hit"]  # most ops walk
         assert stats["walk.completed"] > config.total_ops // 2
         assert batch_result.batched_ops > config.total_ops // 2
+        _assert_pure_observer(run, scalar_system, batch_system)
 
     def test_fast_path_actually_taken(self):
         """The fast machine must serve ops without entering Tlb.lookup."""

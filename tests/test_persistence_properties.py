@@ -92,14 +92,21 @@ class Model:
         return 0
 
     def reset_after_recovery(self, scheme, live_at_crash):
-        """Re-derive the live state the verification loads left behind."""
+        """Re-derive the live state the verification loads left behind.
+
+        Under the persistent scheme, a frame the reattached live table
+        supplied is part of the recovered table, which recovery makes
+        the reclaimer's committed snapshot: a later unmap parks it and
+        the next recovery resurrects it, so it now counts as committed.
+        """
         assert self.committed is not None
         new_live = {}
-        for page, (gen, frame_committed) in self.committed.items():
+        for page, (gen, frame_committed) in list(self.committed.items()):
             if frame_committed:
                 new_live[page] = gen
             elif scheme == "persistent" and live_at_crash.get(page) in self.frames:
                 new_live[page] = live_at_crash[page]
+                self.committed[page] = (live_at_crash[page], True)
             else:
                 # The verification load faulted a fresh zero frame.
                 new_live[page] = self._next_gen
@@ -181,6 +188,34 @@ def test_recovery_matches_last_checkpoint(ops, scheme):
 
     (proc,) = recovered
     _verify_recovery(system, proc, model, scheme, live_at_crash)
+
+
+def test_recovered_live_table_frame_survives_unmap_and_second_crash():
+    """Persistent scheme: a frame faulted after the checkpoint comes back
+    through the reattached live table, and recovery makes the recovered
+    table the reclaimer's committed snapshot — so an unmap before the
+    next crash parks the frame and the second recovery resurrects it
+    (the case the stateful model below carries across recoveries)."""
+    system = HybridSystem(
+        config=small_machine_config(),
+        scheme="persistent",
+        checkpoint_interval_ms=10_000,
+    )
+    system.boot()
+    process = system.spawn("rebase")
+    system.kernel.sys_mmap(process, BASE, 3 * PAGE_SIZE, RW, MAP_NVM)
+    system.checkpoint()
+    system.machine.store(BASE + PAGE_SIZE, bytes([7]))
+    system.crash()
+    (process,) = system.boot()
+    system.kernel.switch_to(process)
+    assert system.machine.load(BASE + PAGE_SIZE, 1) == bytes([7])
+    system.kernel.sys_munmap(process, BASE + PAGE_SIZE, PAGE_SIZE)
+    system.crash()
+    (process,) = system.boot()
+    system.kernel.switch_to(process)
+    assert system.machine.load(BASE + PAGE_SIZE, 1) == bytes([7])
+    assert system.stats["recovery.resurrected_mappings"] == 1
 
 
 class _ReclaimMachine(RuleBasedStateMachine):

@@ -57,24 +57,6 @@ class Cache:
             return True
         return False
 
-    def touch_run(self, lines, wrote) -> None:
-        """Commit a batch of guaranteed-hit touches (batch replay).
-
-        ``lines`` are the *unique* line numbers touched by a run of
-        accesses, ordered by each line's **last** access in the run;
-        ``wrote`` flags whether any access in the run wrote that line.
-        This reproduces the scalar pop/reinsert sequence exactly:
-        untouched lines keep their relative LRU order, touched lines
-        end up behind them in last-access order, and dirty bits merge
-        monotonically.  Callers must guarantee every line is resident
-        and bump hit counters themselves.
-        """
-        sets = self._sets
-        nsets = self.num_sets
-        for line, is_write in zip(lines, wrote):
-            cache_set = sets[line % nsets]
-            cache_set[line] = cache_set.pop(line) or is_write
-
     def drop_all(self) -> None:
         """Power cycle: all contents (including dirty lines) are lost."""
         for cache_set in self._sets:

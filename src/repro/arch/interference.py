@@ -26,12 +26,10 @@ The monitor is a **pure observer**: it never charges cycles, never
 touches cache/TLB/device state, and is *not* a
 :class:`~repro.arch.hooks.HardwareExtension` (attaching one disables
 the replay fast path; the monitor must not).  Its hooks sit only on
-miss paths — LLC victim fills, device accesses, TLB capacity evictions
-— which the batch engine's vectorized fast runs never execute (those
-are TLB-resident L1 hits by construction).  The miss-run kernel *does*
-execute them: its lines go through the machine's own line path, which
-calls these hooks, and it notes its staged TLB evictions at the scalar
-points with the victim's asid (a staged fill needs no real entry for
+miss paths — LLC victim fills, device accesses, TLB capacity evictions.
+The batch engine's miss-run kernel executes them too: its lines go
+through the machine's own line path, which calls these hooks, and it
+notes its staged TLB evictions at the scalar points with the victim's asid (a staged fill needs no real entry for
 that), so batch and scalar replays produce identical interference
 counters (the golden-equivalence suite compares them per pair key).
 

@@ -98,24 +98,6 @@ class Tlb:
         self._mru_entry = entry
         return victim
 
-    def touch_run(self, keys) -> None:
-        """Commit a batch of guaranteed-hit lookups (batch replay).
-
-        ``keys`` are the *unique* translation keys touched by a run of
-        accesses, ordered by each key's **last** access.  Reproduces
-        the scalar lookup sequence: every touched entry is refreshed to
-        the MRU end in last-access order (refreshing an already-MRU key
-        is a no-op, so this matches the micro-cache short-circuit too),
-        and the micro-cache points at the run's final translation.
-        Callers must guarantee residency and bump hit counters.
-        """
-        entries = self._entries
-        for key in keys:
-            entries[key] = entries.pop(key)
-        last = keys[-1]
-        self._mru_key = last
-        self._mru_entry = entries[last]
-
     def sync_mru(self, key: int) -> None:
         """Re-point the micro-cache after a batched miss run.
 

@@ -96,8 +96,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--batch",
         action="store_true",
-        help="bench: also replay every scenario through the vectorized "
-        "batch engine and record a batch section in the report",
+        help="bench: also replay every scenario through the batch "
+        "engine and record a batch section in the report",
     )
     parser.add_argument(
         "--out",

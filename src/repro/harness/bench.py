@@ -382,7 +382,7 @@ def run_bench(
     the engine serial (the default) for trajectory-quality numbers.
 
     With ``batch``, every scenario additionally replays through the
-    vectorized batch engine and the report gains a ``batch`` section;
+    batch engine and the report gains a ``batch`` section;
     the scalar numbers are measured exactly as before, so batch runs
     remain comparable with the existing trajectory.
     """
@@ -587,7 +587,7 @@ def bench_main(
         )
     if batch:
         batch_section = report["batch"]
-        print("== batch replay (same scenarios, vectorized engine) ==")
+        print("== batch replay (same scenarios, miss-run kernel) ==")
         for name, rate in batch_section["ops_per_sec"].items():
             split = batch_section["op_split"][name]
             ratio = batch_section["speedup_vs_scalar"].get(name)

@@ -1,39 +1,15 @@
-"""The batch replay engine: vectorized run detection and commit.
+"""The batch replay engine: one miss-run kernel that is its own probe.
 
-Equivalence argument — L1-resident fast runs
---------------------------------------------
+Equivalence argument
+--------------------
 
-A *fast-committable run* is a maximal stretch of operations that each
-
-* fit in one cache line (``vaddr % CACHE_LINE + size <= CACHE_LINE``),
-* translate through a TLB-resident entry (writable when the op writes),
-* hit the L1 (the line is resident at run start), and
-* execute in user mode with the fast path enabled and no extensions.
-
-During such a run the scalar path performs only commutative
-bookkeeping: per-op ``tlb.hit``/``l1.hit``/``ops.*`` counter bumps, a
-fixed clock advance of ``op_base + l1_hit_latency`` cycles, an LRU
-refresh of the touched TLB entry and L1 line, and a dirty-bit merge on
-writes.  None of it changes *membership* of any structure, so residency
-checked at run start holds for the whole run, and the final LRU state
-depends only on each key's **last** access position (untouched keys
-keep their relative order ahead of touched ones).  The batch kernel
-therefore commits the run as: counter increments of the run totals, one
-batched clock advance, and one ordered :meth:`Tlb.touch_run` /
-:meth:`Cache.touch_run` per structure.
-
-Equivalence argument — miss runs
---------------------------------
-
-Ops that miss the L1 change structure membership (fills, victim
-evictions, open-row switches, write-buffer drains), so a precomputed
-mask cannot stay valid across them.  The miss-run kernel
-(:meth:`BatchReplayer._miss_run`) therefore runs them on the same line
-path as scalar replay: every data line and every page-table-entry read
-goes through :meth:`Machine.phys_line_access`, which fills, evicts,
-writes back, reads the clock at each write-buffer enqueue and charges
-cycles exactly as it does for :meth:`Machine.access`.  Only what is
-batch-specific stays in the kernel:
+The kernel (:meth:`BatchReplayer._miss_run`) runs each op on the same
+line path as scalar replay: every data line and every page-table-entry
+read goes through :meth:`Machine.phys_line_access`, which hits, fills,
+evicts, writes back, reads the clock at each write-buffer enqueue and
+charges cycles exactly as it does for :meth:`Machine.access`.  L1 hits
+take that method's hit branch; there is no second copy of the hit
+semantics.  Only what is batch-specific stays in the kernel:
 
 * the op loop itself, charging each op's ``op_base`` cycles before its
   lines, in the scalar order;
@@ -51,30 +27,31 @@ batch-specific stays in the kernel:
 TLB misses walk inline.  The installed walker returns a pure *walk
 record* — the page-table entry addresses it reads plus the translation
 (see :data:`repro.arch.machine.Walker`) — so the kernel calls it once
-per miss and decides before charging anything: a faulting or
-write-protected translation breaks to scalar with the op untouched, so
-the scalar retry never sees a half-executed op.  A clean record is
-charged in the scalar order: ``op_base``, the entry reads, the TLB
-fill, the data line.  A line outside physical memory raises
-:class:`~repro.common.errors.FaultError` from the line path at the
-same point as in scalar replay; the kernel commits its staging and
-lets the error propagate, so the op is charged once.
+per miss, as the scalar path does, and decides before charging
+anything: a faulting or write-protected translation breaks to scalar
+with the op untouched, so the scalar retry never sees a half-executed
+op.  A clean record is charged in the scalar order: ``op_base``, the
+entry reads, the TLB fill, the data line.  A line outside physical
+memory raises :class:`~repro.common.errors.FaultError` from the line
+path at the same point as in scalar replay; the kernel commits its
+staging and lets the error propagate, so the op is charged once.
 
 Timers are the coupling to the clock: the scalar loop fires due timers
-after every op, so both kinds of run are truncated at the op whose
-clock advance first reaches the earliest armed deadline.  The staged
-TLB state is committed *before* the callbacks fire — so a callback that
-flushes the TLB or switches contexts acts on synchronized structures —
-and the kernel returns afterwards, forcing a fresh probe before
-anything else commits.
+after every op, so a run is truncated at the op whose clock advance
+first reaches the earliest armed deadline.  The staged TLB state is
+committed *before* the callbacks fire — so a callback that flushes the
+TLB or switches contexts acts on synchronized structures — and the
+kernel returns afterwards; the next call starts from the new state.
 
-Everything else — faults, protection upgrades, multi-line and
-page-crossing ops, os-mode execution, attached extensions, installed
-persist hooks, TLB misses under a replaced eviction hook — falls back
-to the scalar :meth:`Machine.access` path op by op, which is
-definitionally equivalent.  A kernel run that breaks on a hazard sends
-only that op down the scalar path, then re-probes;
-:attr:`BatchReplayer.fallbacks` counts the scalar ops per reason.
+The kernel is also the only hazard classifier.  On entry it refuses to
+run while the fast path is off (extensions attached), in os mode, or
+while a persist hook is installed (a crash injector must see every
+persist event in scalar order).  Per op it breaks on multi-line,
+page-crossing and zero-size ops, faulting or write-protected
+translations, and TLB misses with no walker or a replaced eviction
+hook.  Every op it refuses takes the scalar :meth:`Machine.access`
+path, which is definitionally equivalent; :attr:`BatchReplayer.fallbacks`
+counts the scalar ops per reason.
 """
 
 from __future__ import annotations
@@ -83,36 +60,37 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.arch.machine import LINES_PER_PAGE, Machine
+from repro.arch.machine import Machine
 from repro.arch.tlb import TlbEntry
 from repro.common.units import CACHE_LINE, PAGE_SIZE
 from repro.prep.trace import PackedTrace
 
-#: Operations analyzed per vectorized precheck pass.
+#: Operations converted to Python lists per chunk (bounds the
+#: ``tolist()`` working set of a long trace).
 DEFAULT_CHUNK = 8192
 
-#: Scalar run-ahead while the next op is ineligible: starts small so a
-#: cold-start warmup flips to batch mode quickly, doubles while
-#: re-probes stay ineligible so miss-heavy traces pay a bounded number
-#: of prechecks per chunk.
+#: Scalar run-ahead after a kernel call that consumed nothing: starts
+#: small so a cold-start warmup flips to batch mode quickly, doubles
+#: while calls keep refusing so hazard-heavy phases pay a bounded
+#: number of kernel entries per chunk.
 _MIN_SCALAR_SPAN = 32
 _MAX_SCALAR_SPAN = 4096  # repro: allow-geometry(op-count span cap, not a byte size)
 
-#: Ops handed to the miss-run kernel per call: starts small (short runs
-#: — e.g. traffic traces where most stretches are L1-resident — should
+#: Ops handed to the kernel per call: starts small (short runs should
 #: not pay full-chunk slicing), doubles while the kernel consumes whole
 #: blocks, resets when a run breaks early.
 _MIN_KERNEL_BLOCK = 64
 _MAX_KERNEL_BLOCK = DEFAULT_CHUNK
 
 #: Why an op took the scalar path (:attr:`BatchReplayer.fallbacks`):
-#: ``chunk`` — attached extensions or os mode; ``multi_line`` —
-#: multi-line, page-crossing or zero-size op; ``fault`` — the walk
-#: record has no translation; ``write_protect`` — a write through a
-#: read-only translation; ``persist_hook`` — a crash injector is
-#: attached; ``no_walker`` — no address space installed, or a replaced
-#: TLB eviction hook; ``ladder`` — the ops of a probe's scalar span
-#: after its first.
+#: ``chunk`` — attached extensions or os mode (the rest of the chunk
+#: goes scalar); ``multi_line`` — multi-line, page-crossing or
+#: zero-size op; ``fault`` — the walk record has no translation;
+#: ``write_protect`` — a write through a read-only translation;
+#: ``persist_hook`` — a crash injector is attached; ``no_walker`` — no
+#: address space installed, or a replaced TLB eviction hook;
+#: ``ladder`` — the ops of a refused call's scalar span after its
+#: first.
 FALLBACK_REASONS = (
     "chunk",
     "multi_line",
@@ -123,15 +101,7 @@ FALLBACK_REASONS = (
     "ladder",
 )
 
-#: _probe_one outcomes besides a fallback reason.
-_PROBE_KERNEL = "kernel"  #: committable by the miss-run kernel
-_PROBE_FAST = "fast"  #: TLB- and L1-resident: vectorized fast-run path
-
 _LINE_MASK = np.uint64(CACHE_LINE - 1)
-_PAGE_MASK = np.uint64(PAGE_SIZE - 1)
-_PAGE_SHIFT = np.uint64(PAGE_SIZE.bit_length() - 1)
-_LINE_SHIFT = np.uint64(CACHE_LINE.bit_length() - 1)
-_LINES_PER_PAGE = np.uint64(LINES_PER_PAGE)
 
 
 #: A scalar trace operation, as built by the bench scenarios.
@@ -139,7 +109,7 @@ Op = Tuple[int, int, bool]
 
 
 class BatchReplayer:
-    """Replays a trace against one machine in vectorized batches.
+    """Replays a trace against one machine in batched kernel runs.
 
     The replayer owns no simulated state — it is a pure execution
     strategy over the machine's own TLB/cache/controller structures —
@@ -153,19 +123,16 @@ class BatchReplayer:
     scalar replay).
     """
 
-    def __init__(self, machine: Machine, chunk: int = DEFAULT_CHUNK) -> None:
-        if chunk < 1:
-            raise ValueError(f"chunk must be positive: {chunk}")
+    def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        self.chunk = chunk
         self.batched_ops = 0
         self.scalar_ops = 0
         self.fallbacks = dict.fromkeys(FALLBACK_REASONS, 0)
         # Scalar run-ahead length, persisted across chunks so an
-        # entirely-scalar trace converges to one precheck per span
+        # entirely-scalar trace converges to one kernel entry per span
         # instead of restarting the doubling ladder every chunk.
         self._span = _MIN_SCALAR_SPAN
-        # Miss-run kernel block size, adapted the same way.
+        # Kernel block size, adapted the same way.
         self._kernel_block = _MIN_KERNEL_BLOCK
 
     # ------------------------------------------------------------------
@@ -182,12 +149,15 @@ class BatchReplayer:
         addr = np.ascontiguousarray(packed.addr, dtype=np.uint64)
         size = np.ascontiguousarray(packed.size, dtype=np.uint64)
         is_write = np.ascontiguousarray(packed.is_write, dtype=bool)
+        single = ((addr & _LINE_MASK) + size <= CACHE_LINE) & (size > 0)
         total = len(addr)
-        chunk = self.chunk
-        for start in range(0, total, chunk):
-            stop = min(total, start + chunk)
+        for start in range(0, total, DEFAULT_CHUNK):
+            stop = min(total, start + DEFAULT_CHUNK)
             self._replay_chunk(
-                addr[start:stop], size[start:stop], is_write[start:stop]
+                addr[start:stop].tolist(),
+                size[start:stop].tolist(),
+                is_write[start:stop].tolist(),
+                single[start:stop].tolist(),
             )
         return total
 
@@ -196,52 +166,20 @@ class BatchReplayer:
     # ------------------------------------------------------------------
 
     def _replay_chunk(
-        self, addr: np.ndarray, size: np.ndarray, is_write: np.ndarray
+        self,
+        addrs: List[int],
+        sizes: List[int],
+        writes: List[bool],
+        singles: List[bool],
     ) -> None:
-        machine = self.machine
-        count = len(addr)
-        if not machine._fast_ok or machine._mode_stack:  # noqa: SLF001
-            # Extensions attached / fast path off / os mode: the whole
-            # chunk is scalar by definition; skip the precheck entirely.
-            self._scalar_span(addr, size, is_write, 0, count)
-            self.fallbacks["chunk"] += count
-            return
-        # Plain-python columns for the miss-run kernel, converted once
-        # per chunk on first use (the values are immutable, so they stay
-        # valid however state evolves).
-        addr_list: Optional[List[int]] = None
-        write_list: Optional[List[bool]] = None
-        single_list: Optional[List[bool]] = None
+        count = len(addrs)
         base = 0
         while base < count:
-            # Cheap scalar probe of the next op first: it decides which
-            # engine (scalar span / miss-run kernel / vectorized fast
-            # path) consumes the front of the remainder.
-            probe = self._probe_one(
-                int(addr[base]), int(size[base]), bool(is_write[base])
+            stop = min(count, base + self._kernel_block)
+            consumed, hazard = self._miss_run(
+                addrs[base:stop], writes[base:stop], singles[base:stop]
             )
-            if probe is not _PROBE_KERNEL and probe is not _PROBE_FAST:
-                stop = min(count, base + self._span)
-                self._scalar_span(addr, size, is_write, base, stop)
-                self.fallbacks[probe] += 1
-                self.fallbacks["ladder"] += stop - base - 1
-                base = stop
-                self._span = min(self._span * 2, _MAX_SCALAR_SPAN)
-                continue
-            if probe is _PROBE_KERNEL:
-                if addr_list is None:
-                    addr_list = addr.tolist()
-                    write_list = is_write.tolist()
-                    single_list = (
-                        ((addr & _LINE_MASK) + size <= CACHE_LINE)
-                        & (size > 0)
-                    ).tolist()
-                stop = min(count, base + self._kernel_block)
-                consumed, hazard = self._miss_run(
-                    addr_list[base:stop],
-                    write_list[base:stop],
-                    single_list[base:stop],
-                )
+            if consumed:
                 base += consumed
                 self._span = _MIN_SCALAR_SPAN
                 if base == stop:
@@ -251,125 +189,40 @@ class BatchReplayer:
                     )
                     continue
                 self._kernel_block = _MIN_KERNEL_BLOCK
-                if hazard is not None:
-                    # The kernel broke on a hazard (fault, protection
-                    # upgrade, multi-line op): only that op needs the
-                    # scalar path.
-                    self._scalar_span(addr, size, is_write, base, base + 1)
-                    self.fallbacks[hazard] += 1
-                    base += 1
-                # Timer callbacks (or the scalar op) may have mutated
-                # anything; the next iteration re-probes from scratch.
-                continue
-            # _PROBE_FAST: vectorized eligibility + fast-run commits.
-            mask, key, line = self._eligibility(
-                addr[base:], size[base:], is_write[base:]
-            )
-            remaining = count - base
-            cursor = 0
-            fired = False
-            # Consume verified True runs.  Fast commits refresh LRU
-            # order and merge dirty bits but never change TLB/L1
-            # *membership*, so the mask stays valid across commits — it
-            # goes stale only when a scalar op, a kernel run, or a timer
-            # callback executes.
-            while cursor < remaining and mask[cursor]:
-                run_end = cursor + 1
-                while run_end < remaining and mask[run_end]:
-                    run_end += 1
-                while cursor < run_end:
-                    consumed, fired = self._commit(
-                        key[cursor:run_end],
-                        line[cursor:run_end],
-                        is_write[base + cursor : base + run_end],
-                    )
-                    cursor += consumed
-                    if fired:
-                        break
-                if fired:
-                    break
-            base += cursor
-            if fired:
-                self._span = _MIN_SCALAR_SPAN
-                continue
-            if cursor >= remaining:
-                break
-            if cursor == 0:
-                # Defensive: the probe said fast but the mask disagreed
-                # (unreachable today — both test the same structures).
+                if hazard is None:
+                    continue  # timers fired; start a fresh run
+                # The run broke on a hazard: only that op needs the
+                # scalar path.
+                stop = base + 1
+            elif hazard == "chunk":
+                # Nothing batches until the extensions detach or os
+                # mode ends: the rest of the chunk goes scalar.
+                self._scalar_span(addrs, sizes, writes, base, count)
+                self.fallbacks["chunk"] += count - base
+                return
+            else:
                 stop = min(count, base + self._span)
-                self._scalar_span(addr, size, is_write, base, stop)
-                self.fallbacks["ladder"] += stop - base
-                base = stop
                 self._span = min(self._span * 2, _MAX_SCALAR_SPAN)
-                continue
-            # A fast run just ended at an op that is no longer
-            # L1-resident; re-probe to pick the next engine.
-            self._span = _MIN_SCALAR_SPAN
+            self._scalar_span(addrs, sizes, writes, base, stop)
+            self.fallbacks[hazard] += 1
+            self.fallbacks["ladder"] += stop - base - 1
+            base = stop
 
     def _scalar_span(
         self,
-        addr: np.ndarray,
-        size: np.ndarray,
-        is_write: np.ndarray,
+        addrs: List[int],
+        sizes: List[int],
+        writes: List[bool],
         start: int,
         stop: int,
     ) -> None:
         """Replay ``[start, stop)`` through the scalar access path."""
         access = self.machine.access
         for vaddr, nbytes, write in zip(
-            addr[start:stop].tolist(),
-            size[start:stop].tolist(),
-            is_write[start:stop].tolist(),
+            addrs[start:stop], sizes[start:stop], writes[start:stop]
         ):
             access(vaddr, nbytes, write)
         self.scalar_ops += stop - start
-
-    def _probe_one(self, vaddr: int, nbytes: int, is_write: bool) -> str:
-        """Classify the next op: the miss-run kernel, the vectorized
-        fast path, or else the scalar fallback's reason (one of
-        :data:`FALLBACK_REASONS`).
-
-        Mirrors the per-op eligibility tests of both batch engines at
-        dict-probe cost, so the expensive vectorized precheck only runs
-        when the front op would actually take the fast path.
-        """
-        machine = self.machine
-        if not machine._fast_ok or machine._mode_stack:  # noqa: SLF001
-            return "chunk"
-        if nbytes <= 0 or vaddr % CACHE_LINE + nbytes > CACHE_LINE:
-            return "multi_line"
-        key = vaddr // PAGE_SIZE | machine._asid_base  # noqa: SLF001
-        entry = machine.tlb._entries.get(key)  # noqa: SLF001 - hot path
-        if entry is None:
-            # TLB miss: only the kernel can proceed, by walking inline —
-            # which needs a clean translation, the stock eviction hook
-            # and no persist hook (crash injection must see every
-            # scalar persist event).
-            if machine.persist_hook is not None:
-                return "persist_hook"
-            if (
-                machine.walker is None
-                or machine.tlb.on_evict != machine._tlb_evict_hook  # noqa: SLF001
-            ):
-                return "no_walker"
-            _, pfn, writable = machine.walker(vaddr // PAGE_SIZE)
-            if pfn is None:
-                return "fault"
-            if is_write and not writable:
-                return "write_protect"
-            return _PROBE_KERNEL
-        if is_write and not entry.writable:
-            return "write_protect"
-        line = entry.pfn * LINES_PER_PAGE + vaddr % PAGE_SIZE // CACHE_LINE
-        l1_sets = machine._l1_sets  # noqa: SLF001 - hot path
-        if line in l1_sets[line % machine._l1_nsets]:  # noqa: SLF001
-            return _PROBE_FAST
-        if machine.persist_hook is not None:
-            # L1 misses can write back to NVM; those must emit scalar
-            # persist events when an injector is attached.
-            return "persist_hook"
-        return _PROBE_KERNEL
 
     # ------------------------------------------------------------------
     # miss-run kernel
@@ -384,16 +237,21 @@ class BatchReplayer:
         """Execute a run of ops, each line through the machine's own
         :meth:`Machine.phys_line_access`, with TLB activity staged.
 
-        Consumes ops until a hazard (see the module docstring's
-        fallback taxonomy) or the earliest timer deadline; commits the
-        staged TLB state, then fires any due timers.  Returns ``(ops
-        consumed, hazard)``: the :data:`FALLBACK_REASONS` entry of the
-        op the run broke on, or ``None``.  A
+        Refuses on entry (``(0, "chunk")`` or ``(0, "persist_hook")``)
+        when no op may batch; otherwise consumes ops until a per-op
+        hazard or the earliest timer deadline, commits the staged TLB
+        state, then fires any due timers.  Returns ``(ops consumed,
+        hazard)``: the :data:`FALLBACK_REASONS` entry of the op the run
+        broke on (or of the refusal), or ``None``.  A
         :class:`~repro.common.errors.FaultError` from the line path
         propagates after the commit, leaving what the scalar path
         leaves when it raises on the same op.
         """
         machine = self.machine
+        if not machine._fast_ok or machine._mode_stack:  # noqa: SLF001
+            return 0, "chunk"
+        if machine.persist_hook is not None:
+            return 0, "persist_hook"
         tlb = machine.tlb
         entries = tlb._entries  # noqa: SLF001 - hot path
         tlb_capacity = tlb.config.entries
@@ -530,144 +388,12 @@ class BatchReplayer:
             machine.timers.fire_due(machine._read_clock)  # noqa: SLF001
         return consumed, hazard
 
-    # ------------------------------------------------------------------
-    # vectorized fast-run path
-    # ------------------------------------------------------------------
-
-    def _eligibility(
-        self, addr: np.ndarray, size: np.ndarray, is_write: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized precheck: which ops are fast-committable *right
-        now*.
-
-        Returns ``(mask, key, line)``; ``key``/``line`` values are only
-        meaningful where ``mask`` is set.
-        """
-        machine = self.machine
-        count = len(addr)
-        if not machine._fast_ok or machine._mode_stack:  # noqa: SLF001
-            zeros = np.zeros(count, dtype=np.uint64)
-            return np.zeros(count, dtype=bool), zeros, zeros
-        entries = machine.tlb._entries  # noqa: SLF001 - hot path
-        if not entries:
-            zeros = np.zeros(count, dtype=np.uint64)
-            return np.zeros(count, dtype=bool), zeros, zeros
-        # Set-index / tag extraction, in bulk.
-        line_offset = addr & _LINE_MASK
-        single = (line_offset + size <= CACHE_LINE) & (size > 0)
-        key = (addr >> _PAGE_SHIFT) | np.uint64(machine._asid_base)  # noqa: SLF001
-        # Translation residency: snapshot the TLB (at most ``entries``
-        # config slots, typically 64) into sorted arrays once, then
-        # binary-search every op against it — no per-op dict probes.
-        tlb_keys = np.fromiter(entries.keys(), dtype=np.uint64, count=len(entries))
-        tlb_pfns = np.fromiter(
-            (entry.pfn for entry in entries.values()),
-            dtype=np.uint64,
-            count=len(entries),
-        )
-        tlb_writable = np.fromiter(
-            (entry.writable for entry in entries.values()),
-            dtype=bool,
-            count=len(entries),
-        )
-        tlb_order = np.argsort(tlb_keys)
-        tlb_keys = tlb_keys[tlb_order]
-        slot = np.minimum(
-            np.searchsorted(tlb_keys, key), len(tlb_keys) - 1
-        )
-        resident = tlb_keys[slot] == key
-        mask = single & resident & (tlb_writable[tlb_order][slot] | ~is_write)
-        line = tlb_pfns[tlb_order][slot] * _LINES_PER_PAGE + (
-            (addr & _PAGE_MASK) >> _LINE_SHIFT
-        )
-        # L1 residency, probed once per unique candidate line.
-        candidates = np.flatnonzero(mask)
-        if len(candidates):
-            unique_lines, line_inverse = np.unique(
-                line[candidates], return_inverse=True
-            )
-            l1_sets = machine._l1_sets  # noqa: SLF001 - hot path
-            l1_nsets = machine._l1_nsets  # noqa: SLF001 - hot path
-            l1_resident = np.fromiter(
-                (
-                    cached in l1_sets[cached % l1_nsets]
-                    for cached in unique_lines.tolist()
-                ),
-                dtype=bool,
-                count=len(unique_lines),
-            )
-            mask[candidates] &= l1_resident[line_inverse]
-        return mask, key, line
-
-    def _commit(
-        self, key: np.ndarray, line: np.ndarray, is_write: np.ndarray
-    ) -> Tuple[int, bool]:
-        """Commit a verified fast run; returns ``(ops, timers fired)``.
-
-        The run is truncated at the op whose batched clock advance first
-        reaches the earliest armed timer deadline, mirroring the scalar
-        loop's post-op timer check exactly.
-        """
-        machine = self.machine
-        per_op_cycles = machine._fast_cycles  # noqa: SLF001 - hot path
-        heap = machine._timer_heap  # noqa: SLF001 - hot path
-        length = len(key)
-        if heap:
-            gap = heap[0][0] - machine.clock
-            # Ops until the batched clock first reaches the deadline;
-            # at least one op always commits (the scalar loop, too,
-            # replays the op before checking timers).
-            length = min(length, max(1, -(-gap // per_op_cycles)))
-            key = key[:length]
-            line = line[:length]
-            is_write = is_write[:length]
-        counters = machine._counters  # noqa: SLF001 - hot path
-        writes = int(np.count_nonzero(is_write))
-        counters["tlb.hit"] += length
-        counters[machine._l1_hit_key] += length  # noqa: SLF001 - hot path
-        # Guarded: an all-read (or all-write) run must not create the
-        # other key at zero — scalar replay never would.
-        if writes:
-            counters["ops.writes"] += writes
-        if length - writes:
-            counters["ops.reads"] += length - writes
-        cycles = length * per_op_cycles
-        machine.clock += cycles
-        counters["cycles.user"] += cycles
-        # L1 LRU refresh + dirty merge: unique lines in last-access
-        # order, each merged with "was any access in the run a write".
-        # One unique pass over the reversed run yields both the sorted
-        # unique lines and each line's last-access position (the first
-        # occurrence in the reversed view).
-        unique_lines, rev_first, rev_inverse = np.unique(
-            line[::-1], return_index=True, return_inverse=True
-        )
-        inverse = rev_inverse[::-1]
-        wrote = (
-            np.bincount(inverse[is_write], minlength=len(unique_lines)) > 0
-        )
-        order = np.argsort(length - 1 - rev_first)
-        machine.l1.touch_run(
-            unique_lines[order].tolist(), wrote[order].tolist()
-        )
-        # TLB LRU refresh: unique translation keys in last-access order.
-        unique_keys, key_last = np.unique(key[::-1], return_index=True)
-        key_order = np.argsort(length - 1 - key_last)
-        machine.tlb.touch_run(unique_keys[key_order].tolist())
-        self.batched_ops += length
-        fired = 0
-        if heap and heap[0][0] <= machine.clock:
-            fired = machine.timers.fire_due(machine._read_clock)  # noqa: SLF001
-        return length, bool(fired)
-
 
 def replay_batch(
-    machine: Machine,
-    trace: Union[PackedTrace, Sequence[Op]],
-    chunk: int = DEFAULT_CHUNK,
+    machine: Machine, trace: Union[PackedTrace, Sequence[Op]]
 ) -> BatchReplayer:
     """Replay ``trace`` on ``machine`` in batch mode; returns the
     replayer (whose ``batched_ops``/``scalar_ops`` describe the split)."""
-    replayer = BatchReplayer(machine, chunk=chunk)
+    replayer = BatchReplayer(machine)
     replayer.replay(trace)
     return replayer

@@ -18,7 +18,7 @@ memory operations:
 * :class:`TrafficSchedule` — the merged, timestamp-sorted population
   stream as column arrays, exportable as packed ``repro.prep`` trace
   containers (one per gemOS process) so runs feed both the scalar
-  ``Machine.access`` loop and the vectorized ``BatchReplayer``.
+  ``Machine.access`` loop and the batched ``BatchReplayer``.
 * :class:`TrafficScheduler` — provisions one VMA window per client
   across several gemOS processes (demand paging interleaves their
   frames, creating real cross-process cache/row/TLB contention) and
@@ -747,7 +747,7 @@ class TrafficScheduler:
     :class:`~repro.gemos.scheduler.TimestampScheduler` dispatches the
     owning process (charging the standard context-switch cost), then
     the segment runs either through the scalar ``Machine.access`` loop
-    or the vectorized :class:`~repro.replay.BatchReplayer` — both paths
+    or the batched :class:`~repro.replay.BatchReplayer` — both paths
     execute the identical op sequence, so stats/clock/physmem are
     byte-identical (gated by the golden-equivalence suite).
     """

@@ -39,6 +39,7 @@ from repro.common.stats import Stats
 from repro.common.units import CACHE_LINE, KiB, MiB, PAGE_SIZE
 from repro.gemos.frames import FrameAllocator
 from repro.gemos.pagetable import PageTable
+from repro.harness.bench import SCENARIOS
 from repro.mem.hybrid import MemType
 from repro.replay import BatchReplayer, replay_batch
 from repro.replay.batch import FALLBACK_REASONS
@@ -374,11 +375,10 @@ class TestMidRunInvalidation:
 
 
 class TestFallbackDiscipline:
-    def test_extra_walker_calls_charge_nothing(self):
-        """The walker is pure: the batch engine calls it more often than
-        the scalar path (the probe and the kernel both read the record),
-        yet every charged walk happens exactly once — call counts may
-        differ, the fingerprint and the walk counters may not."""
+    def test_batch_calls_walker_as_often_as_scalar(self):
+        """The kernel is its own probe: it reads each walk record once,
+        exactly where the scalar path does, so the walker call count,
+        the walk counters and the fingerprint all match scalar replay."""
         npages = 512
         trace = _thrash_trace(3000, npages=npages)
         calls = []
@@ -406,7 +406,7 @@ class TestFallbackDiscipline:
 
         scalar_machine = run(batch=False)
         batch_machine = run(batch=True)
-        assert calls[1] > calls[0] == scalar_machine.stats["walk.completed"]
+        assert calls[1] == calls[0] == scalar_machine.stats["walk.completed"]
         assert batch_machine.stats["walk.completed"] == calls[0]
         assert _fingerprint(batch_machine) == _fingerprint(scalar_machine)
         _assert_pinned(
@@ -432,6 +432,27 @@ class TestFallbackDiscipline:
         assert replayer.batched_ops == 0
         half = len(events) // 2
         assert half > 0 and events[:half] == events[half:]  # same stream
+
+    def test_persist_hook_refuses_l1_resident_ops(self):
+        """The persist-hook rule has no L1-hit exception: the kernel
+        refuses at entry, so even a TLB- and L1-resident trace replays
+        scalar while a hook is installed."""
+        events = []
+
+        def build():
+            machine, _ = SCENARIOS["l1_resident"](3000)
+            machine.persist_hook = lambda kind, detail: events.append(
+                (kind, detail)
+            )
+            return machine
+
+        _, trace = SCENARIOS["l1_resident"](3000)
+        scalar, batch, replayer = _run_pair(build, trace)
+        assert _fingerprint(batch) == _fingerprint(scalar)
+        half = len(events) // 2
+        assert events[:half] == events[half:]
+        assert replayer.batched_ops == 0
+        assert set(_tally(replayer)) == {"persist_hook", "ladder"}
 
     def test_protection_upgrade_breaks_run(self):
         """A write through a read-only translation takes the scalar

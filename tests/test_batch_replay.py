@@ -1,4 +1,4 @@
-"""Unit tests for the vectorized batch-replay engine.
+"""Unit tests for the batch-replay engine.
 
 The byte-identical batch-vs-scalar gating lives in
 ``test_golden_equivalence.py``; these tests pin the engine's contract
@@ -9,6 +9,7 @@ engine's fallback logic relies on.
 
 import pytest
 
+import repro.replay.batch as batch_module
 from repro.arch.hooks import HardwareExtension
 from repro.arch.machine import Machine
 from repro.common.config import small_machine_config
@@ -22,11 +23,6 @@ def _fingerprint(machine: Machine):
 
 
 class TestBatchReplayer:
-    def test_rejects_nonpositive_chunk(self):
-        machine, _ = SCENARIOS["l1_resident"](10)
-        with pytest.raises(ValueError, match="chunk"):
-            BatchReplayer(machine, chunk=0)
-
     def test_accepts_ops_and_packed_traces(self):
         machine_a, trace = SCENARIOS["l1_resident"](1500)
         replay_batch(machine_a, trace)
@@ -34,11 +30,12 @@ class TestBatchReplayer:
         replay_batch(machine_b, PackedTrace.from_ops(trace))
         assert _fingerprint(machine_a) == _fingerprint(machine_b)
 
-    def test_chunk_size_does_not_change_results(self):
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
         reference = None
         for chunk in (1, 7, 512, 100_000):
+            monkeypatch.setattr(batch_module, "DEFAULT_CHUNK", chunk)
             machine, trace = SCENARIOS["l1_resident"](1500)
-            replay_batch(machine, trace, chunk=chunk)
+            replay_batch(machine, trace)
             fingerprint = _fingerprint(machine)
             if reference is None:
                 reference = fingerprint
